@@ -47,12 +47,13 @@ impl ParisFixture {
             }
         }
         // Replace any generated park overlapping the footprint, then add
-        // the real one.
+        // the real one under a fresh id (after the `retain`, the length
+        // can be an id a surviving POI still holds).
         world
             .pois
             .retain(|p| !(p.kind == PoiKind::Park && bois_env.intersects(&p.polygon.envelope())));
         world.pois.push(Poi {
-            id: world.pois.len(),
+            id: world.pois.iter().map(|p| p.id + 1).max().unwrap_or(0),
             name: "Bois de Boulogne".into(),
             kind: PoiKind::Park,
             polygon: bois,
@@ -117,6 +118,16 @@ mod tests {
             mean(&inside),
             mean(&outside)
         );
+    }
+
+    #[test]
+    fn poi_ids_are_unique() {
+        // Ids become subject IRIs (`osm:poi_{id}`), so they must be keys.
+        for (seed, cells) in [(7, 16), (2019, 24), (2019, 28), (5, 14)] {
+            let f = ParisFixture::generate(seed, cells, 4);
+            let ids: std::collections::HashSet<usize> = f.world.pois.iter().map(|p| p.id).collect();
+            assert_eq!(ids.len(), f.world.pois.len(), "seed {seed}, {cells} cells");
+        }
     }
 
     #[test]

@@ -131,6 +131,15 @@ impl StringTemplate {
         )
     }
 
+    /// The constant text before the first placeholder (all of it for a
+    /// placeholder-free template): every expansion starts with it.
+    pub fn prefix(&self) -> &str {
+        match self.parts.first() {
+            Some(Part::Text(t)) => t,
+            _ => "",
+        }
+    }
+
     /// All referenced columns.
     pub fn columns(&self) -> Vec<&str> {
         self.parts

@@ -71,6 +71,26 @@ impl DataSource {
         self.tables.keys().map(String::as_str).collect()
     }
 
+    /// The base-table rows a source query selects, borrowed and
+    /// unprojected, without counting a source query. `None` for a virtual
+    /// table or a missing base table.
+    pub(crate) fn selected_rows<'a>(
+        &'a self,
+        query: &'a SourceQuery,
+    ) -> Option<impl Iterator<Item = &'a Row> + 'a> {
+        let FromClause::Table(name) = &query.from else {
+            return None;
+        };
+        let table = self.tables.get(name)?;
+        Some(
+            table
+                .source
+                .rows
+                .iter()
+                .filter(|row| query.predicates.iter().all(|p| matches(row, p))),
+        )
+    }
+
     /// Execute a source query, optionally with a spatial access-path hint:
     /// `(geometry column, envelope)` restricts base-table scans through the
     /// R-tree. Returns the qualifying rows (projected).
@@ -121,7 +141,8 @@ impl DataSource {
                 let rows = vtable.open()?;
                 // Remote rows have no index; selection is applied after the
                 // fetch — exactly the "no DBMS optimizations" situation the
-                // paper describes for the on-the-fly path.
+                // paper describes for the on-the-fly path. The rows are the
+                // window's shared copy: only the selected ones are cloned.
                 let out: Vec<Row> = rows
                     .rows
                     .iter()

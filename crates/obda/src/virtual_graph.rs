@@ -8,23 +8,24 @@
 //! * pattern-at-a-time access runs each mapping's source query and expands
 //!   its templates, filtering against the requested pattern;
 //! * the whole-BGP hook ([`GraphSource::evaluate_bgp`]) reproduces Ontop's
-//!   SPARQL→SQL rewriting: when every triple pattern of a BGP unifies with
-//!   a template of *one* mapping, the BGP is answered with a single scan of
-//!   that mapping's source — no self-joins, with the R-tree access path
-//!   when a spatial constraint applies to a geometry column.
+//!   SPARQL→SQL rewriting: when every triple pattern of a BGP can only be
+//!   produced by one template, all of *one* mapping, the BGP is answered
+//!   with a single scan of that mapping's source — no self-joins, with the
+//!   R-tree access path when a spatial constraint applies to a geometry
+//!   column.
 
 use crate::engine::DataSource;
-use crate::sql::SourceQuery;
+use crate::sql::{FromClause, SourceQuery};
 use crate::ObdaError;
 use applab_geo::Envelope;
-use applab_geotriples::mapping::{Mapping, TermTemplate, TripleTemplate};
+use applab_geotriples::mapping::{Mapping, StringTemplate, TermTemplate, TripleTemplate};
 use applab_geotriples::Row;
 use applab_rdf::{vocab, NamedNode, Resource, Term, Triple};
-use applab_sparql::algebra::{TermPattern, TriplePattern};
+use applab_sparql::algebra::{connected_components, TermPattern, TriplePattern};
 use applab_sparql::expr::Binding;
 use applab_sparql::GraphSource;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 struct CompiledMapping {
@@ -33,6 +34,10 @@ struct CompiledMapping {
     /// Constant predicate IRI of each target template (`None` when the
     /// predicate itself is templated — unusual but legal).
     predicate_of: Vec<Option<String>>,
+    /// Whether every subject template is a key of the source: no two
+    /// selected rows expand it to the same term. The whole-BGP rewrite
+    /// answers one solution per row, which is only exact under this.
+    keyed: bool,
 }
 
 /// A virtual RDF graph over mappings + a relational source.
@@ -63,10 +68,12 @@ impl VirtualGraph {
                     .iter()
                     .map(|t| constant_expansion(&t.predicate))
                     .collect();
+                let keyed = subjects_are_keys(&source, &m, &query);
                 Ok(CompiledMapping {
                     mapping: m,
                     query,
                     predicate_of,
+                    keyed,
                 })
             })
             .collect::<Result<Vec<_>, ObdaError>>()?;
@@ -91,7 +98,6 @@ impl VirtualGraph {
         cm: &CompiledMapping,
         hint: Option<(&str, &Envelope)>,
     ) -> Result<Arc<Vec<Row>>, ObdaError> {
-        use crate::sql::FromClause;
         let cacheable = hint.is_none() && matches!(cm.query.from, FromClause::Table(_));
         if cacheable {
             if let Some(rows) = self.row_cache.lock().get(&idx) {
@@ -225,6 +231,7 @@ impl VirtualGraph {
                 return;
             }
         };
+        let start = out.len();
         for row in rows.iter() {
             for (k, &i) in relevant.iter().enumerate() {
                 match &subject_filters[k] {
@@ -250,6 +257,97 @@ impl VirtualGraph {
                 }
             }
         }
+        // Rows that share a subject can expand to the same triple; a graph
+        // holds it once. Under a key every row's triples are distinct.
+        if !cm.keyed {
+            let mut seen = HashSet::new();
+            let fresh: Vec<Triple> = out
+                .drain(start..)
+                .filter(|t| seen.insert(t.clone()))
+                .collect();
+            out.extend(fresh);
+        }
+    }
+
+    /// The mapping and the per-pattern templates a connected BGP rewrites
+    /// to, or `None` when one source scan would not answer it exactly.
+    ///
+    /// Every pattern starts with the templates of *every* mapping it
+    /// statically unifies with. A candidate is dropped when a variable it
+    /// shares with another pattern sits at a template provably disjoint
+    /// from all of that pattern's remaining candidates at the variable's
+    /// position (see [`provably_disjoint`]); this runs to a fixpoint.
+    /// The rewrite applies only when one template per pattern survives,
+    /// all of one keyed mapping, tied to one row ([`tied_to_one_row`]):
+    /// any other surviving template could contribute triples, and one row
+    /// scan would lose the solutions they take part in.
+    fn rewrite_plan<'m>(
+        &'m self,
+        patterns: &[TriplePattern],
+    ) -> Option<(usize, Vec<&'m TripleTemplate>)> {
+        let mut candidates: Vec<Vec<(usize, usize)>> = patterns
+            .iter()
+            .map(|pattern| {
+                let mut out = Vec::new();
+                for (m, cm) in self.mappings.iter().enumerate() {
+                    for (t, template) in cm.mapping.target.iter().enumerate() {
+                        if statically_unifiable(pattern, template, &cm.predicate_of[t]) {
+                            out.push((m, t));
+                        }
+                    }
+                }
+                out
+            })
+            .collect();
+        let template = |(m, t): (usize, usize)| &self.mappings[m].mapping.target[t];
+        loop {
+            let mut changed = false;
+            for i in 0..patterns.len() {
+                let live = |c: (usize, usize)| {
+                    let positions = pattern_positions(&patterns[i]);
+                    for (tp, tt) in positions.into_iter().zip(template_positions(template(c))) {
+                        if !tp.is_var() {
+                            continue;
+                        }
+                        for (j, other) in patterns.iter().enumerate().filter(|&(j, _)| j != i) {
+                            for (pos, tp_j) in pattern_positions(other).into_iter().enumerate() {
+                                let meets = |&o: &(usize, usize)| {
+                                    !provably_disjoint(tt, template_positions(template(o))[pos])
+                                };
+                                if tp_j == tp && !candidates[j].iter().any(meets) {
+                                    return false;
+                                }
+                            }
+                        }
+                    }
+                    true
+                };
+                let kept: Vec<(usize, usize)> =
+                    candidates[i].iter().copied().filter(|&c| live(c)).collect();
+                if kept.len() < candidates[i].len() {
+                    candidates[i] = kept;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        let mut mapping: Option<usize> = None;
+        let mut assignment = Vec::with_capacity(patterns.len());
+        for c in &candidates {
+            let [(m, t)] = c.as_slice() else {
+                return None; // nothing or several templates could answer
+            };
+            if *mapping.get_or_insert(*m) != *m {
+                return None; // answered by more than one mapping
+            }
+            assignment.push(template((*m, *t)));
+        }
+        let idx = mapping?;
+        let cm = &self.mappings[idx];
+        (cm.keyed && tied_to_one_row(patterns, &assignment, &cm.mapping))
+            .then_some((idx, assignment))
     }
 }
 
@@ -301,6 +399,59 @@ fn structural_stats(mappings: &[CompiledMapping]) -> applab_sparql::plan::Stats 
         bounds: None, // unknown extent: the R-tree hint stays worth trying
     };
     stats
+}
+
+/// Whether every subject template of a mapping is a key of its source
+/// (see [`CompiledMapping::keyed`]). A base table is checked row by row,
+/// once, at construction. The `opendap` table is keyed structurally: its
+/// `id` column is built from `(t, lat, lon)`, so a subject template over
+/// `id` alone is a key. A template over a column the query does not
+/// project counts as no key, which only keeps the rewrite off.
+fn subjects_are_keys(source: &DataSource, mapping: &Mapping, query: &SourceQuery) -> bool {
+    let mut subjects: Vec<&TermTemplate> = Vec::new();
+    for t in &mapping.target {
+        if !subjects.contains(&&t.subject) {
+            subjects.push(&t.subject);
+        }
+    }
+    let projected = |st: &StringTemplate| {
+        query.columns.is_empty()
+            || st
+                .columns()
+                .iter()
+                .all(|c| query.columns.iter().any(|q| q == c))
+    };
+    let resources: Option<Vec<&StringTemplate>> = subjects
+        .iter()
+        .map(|t| match t {
+            TermTemplate::Iri(st) | TermTemplate::Blank(st) => projected(st).then_some(st),
+            TermTemplate::Literal { .. } => None,
+        })
+        .collect();
+    let Some(resources) = resources else {
+        return false;
+    };
+    match &query.from {
+        FromClause::Opendap { .. } => resources
+            .iter()
+            .all(|st| st.is_invertible() && st.columns() == ["id"]),
+        FromClause::Table(_) => {
+            let Some(rows) = source.selected_rows(query) else {
+                return false;
+            };
+            let mut seen: Vec<HashSet<Term>> = vec![HashSet::new(); subjects.len()];
+            for row in rows {
+                for (t, seen) in subjects.iter().zip(&mut seen) {
+                    if let Some(term) = t.expand(row) {
+                        if !seen.insert(term) {
+                            return false;
+                        }
+                    }
+                }
+            }
+            true
+        }
+    }
 }
 
 /// A template's constant expansion, when it has no placeholders.
@@ -381,166 +532,197 @@ impl GraphSource for VirtualGraph {
         // it is only sound when every pattern is reachable from every other
         // through shared variables: solutions of a variable-disconnected
         // BGP are the cross product of the components' solutions, which a
-        // single row scan cannot produce.
-        if !variable_connected(patterns) {
+        // single row scan cannot produce. (The evaluator offers such a BGP
+        // one component at a time instead.)
+        if connected_components(patterns).len() != 1 {
             return None;
         }
-        // The rewriting applies only when the whole BGP unifies with the
-        // templates of exactly ONE mapping: otherwise different mappings
-        // could each contribute solutions and the fast path would lose
-        // answers — fall back to pattern-at-a-time evaluation instead.
-        let mut viable: Option<(usize, &CompiledMapping)> = None;
-        'mappings: for (idx, cm) in self.mappings.iter().enumerate() {
-            for pattern in patterns {
-                let mut candidates = cm
-                    .mapping
-                    .target
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, t)| statically_unifiable(pattern, t, &cm.predicate_of[*i]));
-                let first = candidates.next();
-                let second = candidates.next();
-                if first.is_none() || second.is_some() {
-                    continue 'mappings; // none or ambiguous within the mapping
+        let (idx, assignment) = self.rewrite_plan(patterns)?;
+        let cm = &self.mappings[idx];
+        applab_obs::counter!("applab_obda_bgp_rewrites_total").inc();
+        let mut span = applab_obs::span("obda.bgp_rewrite");
+        span.record("patterns", patterns.len());
+        // Spatial access path: a constrained object variable whose
+        // assigned template is a geometry column.
+        let mut hint: Option<(&str, &Envelope)> = None;
+        for (pattern, template) in patterns.iter().zip(&assignment) {
+            if let TermPattern::Var(v) = &pattern.object {
+                if let (Some(env), Some(col)) = (spatial.get(v), geometry_column(&template.object))
+                {
+                    hint = Some((col, env));
+                    break;
                 }
             }
-            if viable.is_some() {
-                return None; // more than one viable mapping → generic path
-            }
-            viable = Some((idx, cm));
         }
-        {
-            let (idx, cm) = viable?;
-            applab_obs::counter!("applab_obda_bgp_rewrites_total").inc();
-            let mut span = applab_obs::span("obda.bgp_rewrite");
-            span.record("patterns", patterns.len());
-            let mut assignment: Vec<&TripleTemplate> = Vec::with_capacity(patterns.len());
-            for pattern in patterns {
-                let template = cm
-                    .mapping
-                    .target
-                    .iter()
-                    .enumerate()
-                    .find(|(i, t)| statically_unifiable(pattern, t, &cm.predicate_of[*i]))
-                    .map(|(_, t)| t)
-                    .expect("checked viable above");
-                assignment.push(template);
+        let rows = match self.rows_for(idx, cm, hint) {
+            Ok(rows) => rows,
+            Err(e) => {
+                crate::fault::record_source_fault(e);
+                return Some(Vec::new());
             }
-            // Spatial access path: a constrained object variable whose
-            // assigned template is a geometry column.
-            let mut hint: Option<(&str, &Envelope)> = None;
-            for (pattern, template) in patterns.iter().zip(&assignment) {
-                if let TermPattern::Var(v) = &pattern.object {
-                    if let (Some(env), Some(col)) =
-                        (spatial.get(v), geometry_column(&template.object))
-                    {
-                        hint = Some((col, env));
-                        break;
+        };
+        // Per-position plans: expand only what the query observes.
+        // Constant positions whose template is placeholder-free were
+        // already verified statically; templated constants need a
+        // per-row check; variables need the expansion bound.
+        enum Step<'p> {
+            Bind(&'p str, &'p TermTemplate),
+            Verify(&'p Term, &'p TermTemplate),
+        }
+        let mut steps: Vec<Step> = Vec::new();
+        for (pattern, template) in patterns.iter().zip(&assignment) {
+            for (tp, tt) in [
+                (&pattern.subject, &template.subject),
+                (&pattern.predicate, &template.predicate),
+                (&pattern.object, &template.object),
+            ] {
+                match tp {
+                    TermPattern::Var(v) => steps.push(Step::Bind(v, tt)),
+                    TermPattern::Term(expected) => {
+                        let is_constant_template = match tt {
+                            TermTemplate::Iri(st) | TermTemplate::Blank(st) => {
+                                st.columns().is_empty()
+                            }
+                            TermTemplate::Literal { template, .. } => template.columns().is_empty(),
+                        };
+                        if !is_constant_template {
+                            steps.push(Step::Verify(expected, tt));
+                        }
                     }
                 }
             }
-            let rows = match self.rows_for(idx, cm, hint) {
-                Ok(rows) => rows,
-                Err(e) => {
-                    crate::fault::record_source_fault(e);
-                    return Some(Vec::new());
-                }
-            };
-            // Per-position plans: expand only what the query observes.
-            // Constant positions whose template is placeholder-free were
-            // already verified statically; templated constants need a
-            // per-row check; variables need the expansion bound.
-            enum Step<'p> {
-                Bind(&'p str, &'p TermTemplate),
-                Verify(&'p Term, &'p TermTemplate),
-            }
-            let mut steps: Vec<Step> = Vec::new();
-            for (pattern, template) in patterns.iter().zip(&assignment) {
-                for (tp, tt) in [
-                    (&pattern.subject, &template.subject),
-                    (&pattern.predicate, &template.predicate),
-                    (&pattern.object, &template.object),
-                ] {
-                    match tp {
-                        TermPattern::Var(v) => steps.push(Step::Bind(v, tt)),
-                        TermPattern::Term(expected) => {
-                            let is_constant_template = match tt {
-                                TermTemplate::Iri(st) | TermTemplate::Blank(st) => {
-                                    st.columns().is_empty()
-                                }
-                                TermTemplate::Literal { template, .. } => {
-                                    template.columns().is_empty()
-                                }
-                            };
-                            if !is_constant_template {
-                                steps.push(Step::Verify(expected, tt));
+        }
+        let mut bindings = Vec::new();
+        'rows: for row in rows.iter() {
+            let mut binding = Binding::new();
+            for step in &steps {
+                match step {
+                    Step::Verify(expected, tt) => match tt.expand(row) {
+                        Some(actual) if &&actual == expected => {}
+                        _ => continue 'rows,
+                    },
+                    Step::Bind(v, tt) => {
+                        let Some(actual) = tt.expand(row) else {
+                            continue 'rows; // null column: no triple
+                        };
+                        match binding.get(*v) {
+                            Some(existing) if existing != &actual => continue 'rows,
+                            Some(_) => {}
+                            None => {
+                                binding.insert(v.to_string(), actual);
                             }
                         }
                     }
                 }
             }
-            let mut bindings = Vec::new();
-            'rows: for row in rows.iter() {
-                let mut binding = Binding::new();
-                for step in &steps {
-                    match step {
-                        Step::Verify(expected, tt) => match tt.expand(row) {
-                            Some(actual) if &&actual == expected => {}
-                            _ => continue 'rows,
-                        },
-                        Step::Bind(v, tt) => {
-                            let Some(actual) = tt.expand(row) else {
-                                continue 'rows; // null column: no triple
-                            };
-                            match binding.get(*v) {
-                                Some(existing) if existing != &actual => continue 'rows,
-                                Some(_) => {}
-                                None => {
-                                    binding.insert(v.to_string(), actual);
-                                }
-                            }
-                        }
-                    }
-                }
-                bindings.push(binding);
-            }
-            span.record("source_rows", rows.len());
-            span.record("rows", bindings.len());
-            Some(bindings)
+            bindings.push(binding);
         }
+        span.record("source_rows", rows.len());
+        span.record("rows", bindings.len());
+        Some(bindings)
     }
 }
 
-/// Whether the patterns form one connected component under shared
-/// variables. Ground patterns (no variables) are their own component, so
-/// any BGP containing one alongside other patterns fails the check.
-fn variable_connected(patterns: &[TriplePattern]) -> bool {
-    if patterns.len() <= 1 {
-        return true;
-    }
-    let vars_of = |p: &TriplePattern| -> Vec<String> {
-        [&p.subject, &p.predicate, &p.object]
-            .into_iter()
-            .filter_map(|t| match t {
-                TermPattern::Var(v) => Some(v.clone()),
-                TermPattern::Term(_) => None,
-            })
-            .collect()
+/// A pattern's three positions, in subject–predicate–object order.
+fn pattern_positions(p: &TriplePattern) -> [&TermPattern; 3] {
+    [&p.subject, &p.predicate, &p.object]
+}
+
+/// A template's three positions, in subject–predicate–object order.
+fn template_positions(t: &TripleTemplate) -> [&TermTemplate; 3] {
+    [&t.subject, &t.predicate, &t.object]
+}
+
+/// Whether two templates can never expand to the same term: different
+/// term kinds, different literal datatypes, or IRIs (blank labels) whose
+/// constant text before the first placeholder already tells them apart.
+fn provably_disjoint(a: &TermTemplate, b: &TermTemplate) -> bool {
+    // Every expansion starts with the template's prefix; a
+    // placeholder-free template expands to exactly its prefix.
+    let texts_differ = |x: &str, x_const: bool, y: &str, y_const: bool| match (x_const, y_const) {
+        (true, true) => x != y,
+        (true, false) => !x.starts_with(y),
+        (false, true) => !y.starts_with(x),
+        (false, false) => !x.starts_with(y) && !y.starts_with(x),
     };
-    // BFS over patterns, connecting through shared variable names.
-    let all: Vec<Vec<String>> = patterns.iter().map(vars_of).collect();
-    let mut reached = vec![false; patterns.len()];
+    match (a, b) {
+        (TermTemplate::Iri(x), TermTemplate::Iri(y)) => texts_differ(
+            x.prefix(),
+            x.columns().is_empty(),
+            y.prefix(),
+            y.columns().is_empty(),
+        ),
+        (TermTemplate::Blank(x), TermTemplate::Blank(y)) => {
+            // Labels go through the same character mapping as expansion.
+            let label = |st: &StringTemplate| st.prefix().replace([' ', ':', '/'], "_");
+            texts_differ(
+                &label(x),
+                x.columns().is_empty(),
+                &label(y),
+                y.columns().is_empty(),
+            )
+        }
+        (TermTemplate::Literal { .. }, TermTemplate::Literal { .. }) => {
+            match (literal_datatype(a), literal_datatype(b)) {
+                (Some(x), Some(y)) => x != y,
+                _ => false, // an inferred datatype may be anything
+            }
+        }
+        _ => true,
+    }
+}
+
+/// The datatype every expansion of a literal template carries, when the
+/// template fixes it.
+fn literal_datatype(t: &TermTemplate) -> Option<&str> {
+    match t {
+        TermTemplate::Literal {
+            language: Some(_), ..
+        } => Some(vocab::rdf::LANG_STRING),
+        TermTemplate::Literal {
+            datatype: Some(dt), ..
+        } => Some(dt.as_str()),
+        _ => None,
+    }
+}
+
+/// Whether shared variables tie every pattern to one source row: two
+/// patterns are tied when a variable sits at the same key template in
+/// both (a subject template, or an object template equal to one, of a
+/// keyed mapping). A BGP joined only through other positions, such as
+/// `?a :name ?n . ?b :name ?n`, has solutions that pair different rows,
+/// which a row-by-row scan cannot produce.
+fn tied_to_one_row(
+    patterns: &[TriplePattern],
+    assignment: &[&TripleTemplate],
+    mapping: &Mapping,
+) -> bool {
+    let is_key = |t: &TermTemplate| mapping.target.iter().any(|tt| &tt.subject == t);
+    let mut tied = vec![false; patterns.len()];
+    tied[0] = true;
     let mut queue = vec![0usize];
-    reached[0] = true;
     while let Some(i) = queue.pop() {
-        for j in 0..patterns.len() {
-            if !reached[j] && all[i].iter().any(|v| all[j].contains(v)) {
-                reached[j] = true;
-                queue.push(j);
+        for (tp, tt) in pattern_positions(&patterns[i])
+            .into_iter()
+            .zip(template_positions(assignment[i]))
+        {
+            if !tp.is_var() || !is_key(tt) {
+                continue;
+            }
+            for j in 0..patterns.len() {
+                if !tied[j]
+                    && pattern_positions(&patterns[j])
+                        .into_iter()
+                        .zip(template_positions(assignment[j]))
+                        .any(|(tp_j, tt_j)| tp_j == tp && tt_j == tt)
+                {
+                    tied[j] = true;
+                    queue.push(j);
+                }
             }
         }
     }
-    reached.into_iter().all(|r| r)
+    tied.into_iter().all(|t| t)
 }
 
 /// Cheap static compatibility check between a pattern and a template.
@@ -560,20 +742,21 @@ fn statically_unifiable(
         && !matches!(&pattern.subject, TermPattern::Term(Term::Literal(_)))
 }
 
-/// One position: kind compatibility plus constant-vs-constant equality for
-/// placeholder-free templates.
+/// One position: kind compatibility, plus constant-vs-constant equality for
+/// placeholder-free templates and the constant prefix of IRI templates.
 fn position_unifiable(pattern: &TermPattern, template: &TermTemplate) -> bool {
     let constant = match pattern {
         TermPattern::Var(_) => return true,
         TermPattern::Term(t) => t,
     };
     match (constant, template) {
-        (Term::Literal(_), TermTemplate::Iri(_))
-        | (Term::Named(_), TermTemplate::Literal { .. }) => false,
+        (Term::Literal(_), TermTemplate::Iri(_) | TermTemplate::Blank(_))
+        | (Term::Named(_), TermTemplate::Literal { .. } | TermTemplate::Blank(_)) => false,
         (Term::Named(n), TermTemplate::Iri(st)) if st.columns().is_empty() => {
             st.expand(&Row::new()).as_deref() == Some(n.as_str())
         }
-        (Term::Named(_), TermTemplate::Iri(_)) => true, // row-level check decides
+        // The row-level check decides, once the prefix fits.
+        (Term::Named(n), TermTemplate::Iri(st)) => n.as_str().starts_with(st.prefix()),
         (
             Term::Literal(l),
             TermTemplate::Literal {
@@ -926,52 +1109,132 @@ WHERE { ?s lai:hasLai ?lai .
         ));
     }
 
-    fn pat(s: &str, p: &str, o: &str) -> TriplePattern {
-        let term = |t: &str| -> TermPattern {
-            match t.strip_prefix('?') {
-                Some(v) => TermPattern::var(v),
-                None => Term::named(format!("http://ex.org/{t}")).into(),
-            }
+    /// The parks graph plus a second mapping over the same table that also
+    /// produces `osm:hasName` for the same subjects.
+    fn parks_with_kind_names(n: usize) -> VirtualGraph {
+        let two = format!(
+            "{PARK_MAPPINGS}\nmappingId kinds\ntarget osm:poi_{{id}} osm:hasName {{kind}} .\nsource SELECT id, kind FROM parks\n"
+        );
+        let mut ds = DataSource::new();
+        ds.add_table(parks_table(n));
+        VirtualGraph::new(ds, parse_mappings(&two).unwrap()).unwrap()
+    }
+
+    /// The triple patterns of a query whose WHERE clause is one BGP.
+    fn bgp(q: &str) -> Vec<TriplePattern> {
+        match applab_sparql::parse_query(q).unwrap().pattern {
+            applab_sparql::algebra::GraphPattern::Bgp(p) => p,
+            other => panic!("expected a BGP, got {other:?}"),
+        }
+    }
+
+    fn sorted_csv(r: &applab_sparql::QueryResults) -> Vec<String> {
+        let csv = r.to_csv();
+        let mut rows: Vec<String> = csv.lines().skip(1).map(str::to_string).collect();
+        rows.sort();
+        rows
+    }
+
+    #[test]
+    fn a_second_mapping_producing_one_pattern_blocks_the_rewrite() {
+        // Each park (ids 1, 2, 4, 5 of 0..6) has two names: its own from
+        // `parks`, its kind from `kinds`. The rewrite over `parks` alone
+        // answered 4 rows; the graph has 8 solutions.
+        let vg = parks_with_kind_names(6);
+        let q = "SELECT ?s ?n ?g WHERE { ?s osm:hasName ?n . ?s geo:hasGeometry ?g }";
+        let patterns = bgp(q);
+        assert!(vg.evaluate_bgp(&patterns, &HashMap::new()).is_none());
+        let virt = applab_sparql::query(&vg, q).unwrap();
+        let mat = applab_sparql::query(&vg.materialize().unwrap(), q).unwrap();
+        assert_eq!(mat.len(), 8);
+        assert_eq!(sorted_csv(&virt), sorted_csv(&mat));
+    }
+
+    #[test]
+    fn disjoint_templates_of_other_mappings_do_not_block_the_rewrite() {
+        // `lai:` subjects and blank geometries can never meet an
+        // `osm:poi_` subject: the other mapping's templates are pruned.
+        let two = format!(
+            "{PARK_MAPPINGS}\nmappingId obs\ntarget lai:{{id}} geo:hasGeometry _:g_{{id}} .\n       _:g_{{id}} geo:asWKT {{geom}}^^geo:wktLiteral .\nsource SELECT id, geom FROM parks\n"
+        );
+        let mut ds = DataSource::new();
+        ds.add_table(parks_table(9));
+        let vg = VirtualGraph::new(ds, parse_mappings(&two).unwrap()).unwrap();
+        let q = "SELECT ?s ?w WHERE { ?s osm:poiType osm:park . ?s geo:hasGeometry ?g . ?g geo:asWKT ?w }";
+        let patterns = bgp(q);
+        let (idx, _) = vg.rewrite_plan(&patterns).expect("rewritten");
+        assert_eq!(vg.mappings[idx].mapping.id, "parks");
+        let virt = applab_sparql::query(&vg, q).unwrap();
+        let mat = applab_sparql::query(&vg.materialize().unwrap(), q).unwrap();
+        assert_eq!(virt.len(), 6);
+        assert_eq!(sorted_csv(&virt), sorted_csv(&mat));
+    }
+
+    #[test]
+    fn an_unkeyed_mapping_declines_instead_of_failing() {
+        // Two source rows share id 1: the subject template is no key, so
+        // the graph still builds but answers pattern at a time.
+        let mut table = parks_table(4);
+        table.rows[2].insert("id".into(), Value::Number(1.0));
+        let mut ds = DataSource::new();
+        ds.add_table(table);
+        let vg = VirtualGraph::new(ds, parse_mappings(PARK_MAPPINGS).unwrap()).unwrap();
+        assert!(!vg.mappings[0].keyed);
+        let q =
+            "SELECT ?s ?n ?w WHERE { ?s osm:hasName ?n . ?s geo:hasGeometry ?g . ?g geo:asWKT ?w }";
+        let patterns = bgp(q);
+        assert!(vg.evaluate_bgp(&patterns, &HashMap::new()).is_none());
+        let virt = applab_sparql::query(&vg, q).unwrap();
+        let mat = applab_sparql::query(&vg.materialize().unwrap(), q).unwrap();
+        // poi_1 has two names and one geometry node with two WKTs: 2 × 2.
+        assert_eq!(mat.len(), 4);
+        assert_eq!(sorted_csv(&virt), sorted_csv(&mat));
+        // The keyed default graph checks out.
+        assert!(virtual_graph(4).mappings[0].keyed);
+    }
+
+    #[test]
+    fn a_join_through_a_non_key_position_declines() {
+        // ?a and ?b meet only on a name, so they may be different rows.
+        let vg = virtual_graph(6);
+        let patterns = vec![
+            TriplePattern::new(
+                TermPattern::var("a"),
+                Term::named(vocab::osm::HAS_NAME),
+                TermPattern::var("n"),
+            ),
+            TriplePattern::new(
+                TermPattern::var("b"),
+                Term::named(vocab::osm::HAS_NAME),
+                TermPattern::var("n"),
+            ),
+        ];
+        assert!(vg.evaluate_bgp(&patterns, &HashMap::new()).is_none());
+    }
+
+    #[test]
+    fn provable_disjointness_reads_kinds_prefixes_and_datatypes() {
+        let t = |text: &str| -> TermTemplate {
+            let doc = format!(
+                "mappingId m\ntarget osm:x_{{id}} osm:p {text} .\nsource SELECT * FROM t\n"
+            );
+            parse_mappings(&doc).unwrap()[0].target[0].object.clone()
         };
-        TriplePattern::new(term(s), term(p), term(o))
-    }
-
-    #[test]
-    fn variable_connected_accepts_chains_and_singletons() {
-        assert!(variable_connected(&[]));
-        assert!(variable_connected(&[pat("?s", "p", "?o")]));
-        // ?s–?g–?w chain: each adjacent pair shares a variable.
-        assert!(variable_connected(&[
-            pat("?s", "hasGeometry", "?g"),
-            pat("?g", "asWKT", "?w"),
-            pat("?s", "type", "Park"),
-        ]));
-        // A fully ground singleton is trivially connected.
-        assert!(variable_connected(&[pat("s1", "p", "o1")]));
-    }
-
-    #[test]
-    fn variable_connected_rejects_disjoint_components() {
-        // The shrunk shape of the same-row join bug: two patterns with no
-        // shared variable must take the generic cross-product path.
-        assert!(!variable_connected(&[
-            pat("?s1", "hasCode", "?code1"),
-            pat("?g1", "asWKT", "?w1"),
-        ]));
-        // Sharing a predicate *variable* counts as connected…
-        assert!(variable_connected(&[
-            pat("?s1", "?p", "?o1"),
-            pat("?s2", "?p", "?o2"),
-        ]));
-        // …but sharing only a constant does not.
-        assert!(!variable_connected(&[
-            pat("?s1", "p", "?o1"),
-            pat("?s2", "p", "?o2"),
-        ]));
-        // A ground pattern alongside anything else is its own component.
-        assert!(!variable_connected(&[
-            pat("?s", "p", "?o"),
-            pat("s1", "p", "o1"),
-        ]));
+        assert!(provably_disjoint(&t("osm:poi_{id}"), &t("lai:{id}")));
+        assert!(!provably_disjoint(&t("osm:poi_{id}"), &t("osm:{kind}")));
+        assert!(!provably_disjoint(&t("osm:park"), &t("osm:{kind}")));
+        assert!(provably_disjoint(&t("osm:park"), &t("osm:forest")));
+        assert!(provably_disjoint(&t("osm:park"), &t("osm:poi_{id}")));
+        assert!(provably_disjoint(&t("osm:poi_{id}"), &t("_:g_{id}")));
+        assert!(provably_disjoint(
+            &t("osm:poi_{id}"),
+            &t("{name}^^xsd:string")
+        ));
+        assert!(provably_disjoint(
+            &t("{a}^^xsd:string"),
+            &t("{b}^^xsd:integer")
+        ));
+        assert!(!provably_disjoint(&t("{a}^^xsd:string"), &t("{b}")));
+        assert!(!provably_disjoint(&t("_:g_{id}"), &t("_:g_{x}")));
     }
 }

@@ -24,8 +24,9 @@ use std::time::Duration;
 
 /// A virtual table: materializes rows on demand.
 pub trait VirtualTable: Send + Sync {
-    /// Produce the current rows.
-    fn open(&self) -> Result<TabularSource, ObdaError>;
+    /// Produce the current rows. A cached copy is shared, not cloned:
+    /// every `open()` inside one window returns the same allocation.
+    fn open(&self) -> Result<Arc<TabularSource>, ObdaError>;
 }
 
 /// A classified fetch failure: `transient` failures (connection-level, or
@@ -198,13 +199,13 @@ impl OpendapTable {
 }
 
 impl VirtualTable for OpendapTable {
-    fn open(&self) -> Result<TabularSource, ObdaError> {
+    fn open(&self) -> Result<Arc<TabularSource>, ObdaError> {
         let now = self.clock.now();
         if self.window > Duration::ZERO {
             let cache = self.cache.lock();
             if let Some((at, rows)) = cache.as_ref() {
                 if now.saturating_sub(*at) < self.window {
-                    return Ok(rows.as_ref().clone());
+                    return Ok(rows.clone());
                 }
             }
         }
@@ -214,7 +215,7 @@ impl VirtualTable for OpendapTable {
                 if self.window > Duration::ZERO {
                     *self.cache.lock() = Some((now, rows.clone()));
                 }
-                Ok(rows.as_ref().clone())
+                Ok(rows)
             }
             Err(failure) => {
                 // Serve-stale: a transient refresh failure inside the grace
@@ -228,7 +229,7 @@ impl VirtualTable for OpendapTable {
                         if now.saturating_sub(*at) < self.window + self.grace {
                             self.stale.inc();
                             applab_obs::degrade::mark("obda_vtable");
-                            return Ok(rows.as_ref().clone());
+                            return Ok(rows.clone());
                         }
                     }
                 }
@@ -362,6 +363,26 @@ mod tests {
     }
 
     #[test]
+    fn window_hits_share_one_copy() {
+        let clock = ManualClock::new();
+        let vt = OpendapTable::new(
+            client(),
+            "lai_300m",
+            "LAI",
+            Duration::from_secs(600),
+            clock.clone(),
+        );
+        let first = vt.open().unwrap();
+        clock.advance(Duration::from_secs(599));
+        let hit = vt.open().unwrap();
+        assert!(Arc::ptr_eq(&first, &hit), "a window hit must not copy");
+        clock.advance(Duration::from_secs(2));
+        let refreshed = vt.open().unwrap();
+        assert!(!Arc::ptr_eq(&first, &refreshed), "expiry must refetch");
+        assert_eq!(refreshed.rows.len(), first.rows.len());
+    }
+
+    #[test]
     fn zero_window_always_fetches() {
         let clock = ManualClock::new();
         let c = client();
@@ -411,7 +432,10 @@ mod tests {
         clock.advance(Duration::from_secs(601));
         let scope = applab_obs::degrade::Scope::begin();
         let stale = vt.open().expect("grace bridges the outage");
-        assert_eq!(stale.rows.len(), fresh.rows.len());
+        assert!(
+            Arc::ptr_eq(&stale, &fresh),
+            "the stale copy is the cached one"
+        );
         assert!(scope.degraded(), "stale serve must mark the degrade scope");
         assert_eq!(vt.stale_serves(), 1);
 

@@ -199,7 +199,9 @@ fn parse_stats(v: &json::Value) -> Result<QueryStats, String> {
     Ok(s)
 }
 
-fn escape_into(out: &mut String, s: &str) {
+/// Append `s` with JSON string escaping (quotes, backslashes, and every
+/// control character).
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     // Common case: nothing to escape — one memcpy, no per-char walk.
     if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
         out.push_str(s);
@@ -231,7 +233,7 @@ fn push_hex16(out: &mut String, v: u64) {
 /// A minimal JSON reader, just enough to parse back the records this
 /// module writes (objects, strings with escapes, integers, floats,
 /// booleans, null). Not a general-purpose parser.
-mod json {
+pub(crate) mod json {
     pub enum Value {
         Null,
         Bool(bool),

@@ -14,6 +14,7 @@
 
 use crate::dataset::{DatasetSpec, Table};
 use applab_rdf::datetime::format_datetime;
+use applab_sparql::algebra::{connected_components, GraphPattern};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -495,7 +496,30 @@ impl QueryIr {
             }
         }
         walk(&self.body, &optional_vars, &mut push);
+        // A BGP of several variable-connected components: the virtual
+        // graph answers it one component at a time, with envelopes flowing
+        // from answered components across `geof:sf*` links.
+        if applab_sparql::parse_query(&self.render())
+            .is_ok_and(|q| has_disconnected_bgp(&q.pattern))
+        {
+            push("disconnected_bgp");
+        }
         out
+    }
+}
+
+/// Whether some BGP of the parsed pattern splits into several
+/// variable-connected components.
+fn has_disconnected_bgp(pattern: &GraphPattern) -> bool {
+    match pattern {
+        GraphPattern::Bgp(patterns) => connected_components(patterns).len() > 1,
+        GraphPattern::Filter(_, inner) | GraphPattern::Extend(inner, ..) => {
+            has_disconnected_bgp(inner)
+        }
+        GraphPattern::Join(a, b) | GraphPattern::LeftJoin(a, b) | GraphPattern::Union(a, b) => {
+            has_disconnected_bgp(a) || has_disconnected_bgp(b)
+        }
+        GraphPattern::Values(..) => false,
     }
 }
 
@@ -1109,6 +1133,7 @@ mod tests {
             "optional_inner_filter",
             "limit_offset_batch_straddle",
             "group_spans_batches",
+            "disconnected_bgp",
         ] {
             assert!(
                 seen.contains(must),

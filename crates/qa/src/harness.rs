@@ -279,6 +279,51 @@ mod tests {
         }
     }
 
+    /// Non-vacuity of the `disconnected_bgp` feature: generated BGPs of
+    /// several components must really reach the virtual graph's
+    /// component-wise rewrite (some component answered by one source
+    /// scan), not only the pattern-at-a-time fallback — and agree there.
+    #[test]
+    fn disconnected_bgps_reach_the_component_rewrite() {
+        use crate::gen::{case_seed, generate};
+        let spec = DatasetSpec::small(1);
+        let h = Harness::new(spec.clone()).unwrap();
+        let (mut disconnected, mut rewritten) = (0, 0);
+        for i in 0..200 {
+            let ir = generate(case_seed(1, i), &spec);
+            if !ir.features().contains(&"disconnected_bgp") {
+                continue;
+            }
+            disconnected += 1;
+            let text = ir.render();
+            let verdict = h.run_text(&text);
+            assert!(!verdict.is_disagreement(), "{text}: {verdict:?}");
+            let Ok(explain) = h
+                .engines
+                .vw
+                .query_explained_with(&text, &EvalOptions::sequential())
+            else {
+                continue;
+            };
+            let mut bgps = Vec::new();
+            explain.profile.find_all("bgp", &mut bgps);
+            if bgps
+                .iter()
+                .any(|b| b.field("components").is_some() && b.field("source_bgp").is_some())
+            {
+                rewritten += 1;
+            }
+        }
+        assert!(
+            disconnected >= 20,
+            "200 cases produced only {disconnected} disconnected BGPs"
+        );
+        assert!(
+            rewritten * 2 >= disconnected,
+            "only {rewritten} of {disconnected} disconnected BGPs reached the component rewrite"
+        );
+    }
+
     #[test]
     fn a_broken_query_is_reported_not_panicked() {
         let h = Harness::new(DatasetSpec::small(11)).unwrap();

@@ -64,6 +64,38 @@ impl TriplePattern {
     }
 }
 
+/// The variable-connected components of a BGP: pattern indexes grouped
+/// by shared variable names, each component in written order and the
+/// components ordered by their first pattern. A ground pattern (no
+/// variables) is a component of its own; sharing only a constant does not
+/// connect two patterns.
+pub fn connected_components(patterns: &[TriplePattern]) -> Vec<Vec<usize>> {
+    let vars: Vec<Vec<&str>> = patterns.iter().map(TriplePattern::variables).collect();
+    let mut component: Vec<Option<usize>> = vec![None; patterns.len()];
+    let mut out: Vec<Vec<usize>> = Vec::new();
+    for start in 0..patterns.len() {
+        if component[start].is_some() {
+            continue;
+        }
+        let id = out.len();
+        component[start] = Some(id);
+        let mut members = vec![start];
+        let mut queue = vec![start];
+        while let Some(i) = queue.pop() {
+            for j in start + 1..patterns.len() {
+                if component[j].is_none() && vars[i].iter().any(|v| vars[j].contains(v)) {
+                    component[j] = Some(id);
+                    members.push(j);
+                    queue.push(j);
+                }
+            }
+        }
+        members.sort_unstable();
+        out.push(members);
+    }
+    out
+}
+
 /// A SPARQL expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expression {
@@ -277,6 +309,69 @@ mod tests {
             TermPattern::var("o"),
         );
         assert_eq!(p.variables(), vec!["s", "o"]);
+    }
+
+    fn pat(s: &str, p: &str, o: &str) -> TriplePattern {
+        let term = |t: &str| -> TermPattern {
+            match t.strip_prefix('?') {
+                Some(v) => TermPattern::var(v),
+                None => Term::named(format!("http://ex.org/{t}")).into(),
+            }
+        };
+        TriplePattern::new(term(s), term(p), term(o))
+    }
+
+    #[test]
+    fn connected_components_accept_chains_and_singletons() {
+        assert!(connected_components(&[]).is_empty());
+        assert_eq!(connected_components(&[pat("?s", "p", "?o")]), vec![vec![0]]);
+        // ?s–?g–?w chain: each adjacent pair shares a variable.
+        assert_eq!(
+            connected_components(&[
+                pat("?s", "hasGeometry", "?g"),
+                pat("?g", "asWKT", "?w"),
+                pat("?s", "type", "Park"),
+            ]),
+            vec![vec![0, 1, 2]]
+        );
+        // A fully ground singleton is one component.
+        assert_eq!(connected_components(&[pat("s1", "p", "o1")]), vec![vec![0]]);
+    }
+
+    #[test]
+    fn connected_components_split_disjoint_patterns() {
+        // Two patterns with no shared variable are two components.
+        assert_eq!(
+            connected_components(&[pat("?s1", "hasCode", "?code1"), pat("?g1", "asWKT", "?w1")]),
+            vec![vec![0], vec![1]]
+        );
+        // Sharing a predicate *variable* connects…
+        assert_eq!(
+            connected_components(&[pat("?s1", "?p", "?o1"), pat("?s2", "?p", "?o2")]).len(),
+            1
+        );
+        // …but sharing only a constant does not.
+        assert_eq!(
+            connected_components(&[pat("?s1", "p", "?o1"), pat("?s2", "p", "?o2")]).len(),
+            2
+        );
+        // A ground pattern alongside anything else is its own component.
+        assert_eq!(
+            connected_components(&[pat("?s", "p", "?o"), pat("s1", "p", "o1")]).len(),
+            2
+        );
+        // Interleaved components keep written order, a late pattern can
+        // join an early component, and components order by first pattern.
+        assert_eq!(
+            connected_components(&[
+                pat("?a", "p", "?x"),
+                pat("?b", "p", "?y"),
+                pat("?x", "q", "?z"),
+                pat("?c", "p", "?w"),
+                pat("?y", "q", "?a"),
+            ]),
+            vec![vec![0, 1, 2, 4], vec![3]]
+        );
     }
 
     #[test]

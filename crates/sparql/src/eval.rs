@@ -40,8 +40,8 @@
 //! produce identical row orders (see [`EvalOptions`]).
 
 use crate::algebra::{
-    Aggregate, Expression, GraphPattern, OrderKey, Projection, Query, QueryForm, TermPattern,
-    TriplePattern,
+    connected_components, Aggregate, Expression, GraphPattern, OrderKey, Projection, Query,
+    QueryForm, TermPattern, TriplePattern,
 };
 use crate::batch::{merge_gather, Batch, ColumnBuilder};
 use crate::expr::{
@@ -690,11 +690,12 @@ struct Constraints {
     spatial: HashMap<String, Envelope>,
     temporal: HashMap<String, (i64, i64)>,
     /// Variable pairs linked by a non-disjoint `geof:sf*(?a, ?b)`
-    /// conjunct of an enclosing FILTER. Only collected when the planner
-    /// is on: once one side is bound, the union envelope of its
-    /// geometries becomes a spatial constraint for the other side
-    /// (sideways information passing — on the OBDA path this prunes
-    /// OPeNDAP grid-cell fetches before any DAP round trip).
+    /// conjunct of an enclosing FILTER: once one side is bound, the union
+    /// envelope of its geometries becomes a spatial constraint for the
+    /// other side (sideways information passing — on the OBDA path this
+    /// prunes OPeNDAP grid-cell fetches before any DAP round trip).
+    /// Consumed between the components of a BGP always, and between the
+    /// steps of a planned BGP when the planner is on.
     spatial_links: Vec<(String, String)>,
 }
 
@@ -813,11 +814,9 @@ impl<'a> Evaluator<'a> {
                         .and_modify(|r| *r = (r.0.max(s), r.1.min(e)))
                         .or_insert((s, e));
                 }
-                if self.options.planner {
-                    for link in spatial_join_links(expr) {
-                        if !merged.spatial_links.contains(&link) {
-                            merged.spatial_links.push(link);
-                        }
+                for link in spatial_join_links(expr) {
+                    if !merged.spatial_links.contains(&link) {
+                        merged.spatial_links.push(link);
                     }
                 }
                 let inner_batch = self.eval_pattern(inner, input, &merged);
@@ -1141,16 +1140,42 @@ impl<'a> Evaluator<'a> {
         if patterns.is_empty() || input.is_empty() {
             return input;
         }
-        let width = self.slots.width;
         let mut bgp_span = applab_obs::span("bgp");
         bgp_span.record("patterns", patterns.len());
         bgp_span.record("input_rows", input.len());
+        // Component-wise path: a BGP whose patterns fall apart into several
+        // variable-connected components (Listing 1: the park and the
+        // observations, linked only by a FILTER) offers each component to
+        // the source's whole-BGP hook on its own.
+        if patterns.len() > 1 {
+            let components = connected_components(patterns);
+            if components.len() > 1 {
+                bgp_span.record("components", components.len());
+                if let Some((answered, declined)) =
+                    self.answer_components(patterns, &components, constraints, &mut bgp_span)
+                {
+                    if answered.is_empty() {
+                        return answered;
+                    }
+                    let rest = if declined.is_empty() {
+                        input
+                    } else {
+                        self.eval_bgp_scans(&declined, input, constraints, &mut bgp_span)
+                    };
+                    return self.join(rest, answered);
+                }
+            }
+        }
         // Sideways envelope passing (planner only): geometry variables the
         // input batch already binds constrain their spatial-join partners,
         // so the source's whole-BGP hook — and through it the OPeNDAP
         // grid-cell fetch — sees the tightened envelope before any round
         // trip happens.
-        let sideways = self.sideways_spatial(constraints, &input, None);
+        let sideways = if self.options.planner {
+            self.sideways_spatial(constraints, &input, None)
+        } else {
+            None
+        };
         let spatial_for_source = sideways.as_ref().unwrap_or(&constraints.spatial);
         // OBDA fast path: let the source answer the whole BGP at once, then
         // hash-join the answers with the current solutions.
@@ -1158,27 +1183,107 @@ impl<'a> Evaluator<'a> {
             bgp_span.record("source_bgp", true);
             bgp_span.record("source_rows", answers.len());
             applab_obs::querystats::scan(answers.len() as u64);
-            let mut build = Batch::new(width);
-            let mut rowbuf: Vec<Option<u64>> = vec![None; width];
-            for b in &answers {
-                rowbuf.fill(None);
-                for (k, v) in b {
-                    if let Some(s) = self.slots.get(k) {
-                        rowbuf[s] = Some(self.interner.intern(v));
-                    }
-                }
-                build.push_row(&rowbuf);
-            }
+            let build = self.bindings_batch(&answers);
             return self.join(input, build);
         }
+        self.eval_bgp_scans(patterns, input, constraints, &mut bgp_span)
+    }
 
+    /// Offer each variable-connected component of a BGP to the source's
+    /// whole-BGP hook, in written order. An answered component is evaluated
+    /// from the empty solution and joined with the components answered
+    /// before it (a cross product: components share no variable); the
+    /// union envelope those bound across a `geof:sf*` link constrains the
+    /// next component's spatial map, whatever [`EvalOptions::planner`]
+    /// says. Returns `None` when every component declined, else the joined
+    /// answers plus the declined patterns in written order. An empty join
+    /// stops the walk: the BGP then has no solution, and later components
+    /// are never sent to the source.
+    fn answer_components(
+        &mut self,
+        patterns: &[TriplePattern],
+        components: &[Vec<usize>],
+        constraints: &Constraints,
+        bgp_span: &mut applab_obs::Span,
+    ) -> Option<(Batch, Vec<TriplePattern>)> {
+        let mut answered: Option<Batch> = None;
+        let mut declined: Vec<TriplePattern> = Vec::new();
+        let mut source_rows = 0usize;
+        for component in components {
+            if self.interrupted() {
+                return Some((Batch::new(self.slots.width), Vec::new()));
+            }
+            let component: Vec<TriplePattern> =
+                component.iter().map(|&i| patterns[i].clone()).collect();
+            let sideways = match &answered {
+                Some(bound) => {
+                    let receivers: Vec<&str> = component
+                        .iter()
+                        .flat_map(TriplePattern::variables)
+                        .collect();
+                    self.sideways_spatial(constraints, bound, Some(&receivers))
+                }
+                None => None,
+            };
+            let spatial = sideways.as_ref().unwrap_or(&constraints.spatial);
+            let Some(answers) = self.source.evaluate_bgp(&component, spatial) else {
+                declined.extend(component);
+                continue;
+            };
+            source_rows += answers.len();
+            applab_obs::querystats::scan(answers.len() as u64);
+            let batch = self.bindings_batch(&answers);
+            let joined = match answered.take() {
+                Some(prev) => self.join(prev, batch),
+                None => batch,
+            };
+            let empty = joined.is_empty();
+            answered = Some(joined);
+            if empty {
+                break;
+            }
+        }
+        let answered = answered?;
+        bgp_span.record("source_bgp", true);
+        bgp_span.record("source_rows", source_rows);
+        Some((answered, declined))
+    }
+
+    /// Intern a source's whole-BGP answers into a batch.
+    fn bindings_batch(&mut self, answers: &[Binding]) -> Batch {
+        let width = self.slots.width;
+        let mut batch = Batch::new(width);
+        let mut rowbuf: Vec<Option<u64>> = vec![None; width];
+        for b in answers {
+            rowbuf.fill(None);
+            for (k, v) in b {
+                if let Some(s) = self.slots.get(k) {
+                    rowbuf[s] = Some(self.interner.intern(v));
+                }
+            }
+            batch.push_row(&rowbuf);
+        }
+        batch
+    }
+
+    /// Pattern-at-a-time BGP evaluation: the planned path when the planner
+    /// is on and the source has statistics, else the written-order
+    /// pipeline.
+    fn eval_bgp_scans(
+        &mut self,
+        patterns: &[TriplePattern],
+        input: Batch,
+        constraints: &Constraints,
+        bgp_span: &mut applab_obs::Span,
+    ) -> Batch {
+        let width = self.slots.width;
         // Cost-based path: statistics-ordered lazy scan/join with
         // build-side filters. Falls through to the written-order pipeline
         // when the source has no seal-time stats.
         if self.options.planner {
             let source = self.source;
             if let Some(stats) = source.stats() {
-                return self.eval_bgp_planned(stats, patterns, input, constraints, &mut bgp_span);
+                return self.eval_bgp_planned(stats, patterns, input, constraints, bgp_span);
             }
         }
 
@@ -1425,18 +1530,17 @@ impl<'a> Evaluator<'a> {
     /// The augmented spatial-constraint map for a batch: for every
     /// spatial-join link ([`Constraints::spatial_links`]) with one side
     /// bound by `batch`, the union envelope of that side's geometries
-    /// constrains the other side. `None` when nothing was added (planner
-    /// off, no links, nothing usable bound). Sound because a row whose
-    /// linked variable is unbound or not a geometry cannot satisfy the
-    /// originating `geof:` conjunct anyway, and the filter is always
-    /// re-applied downstream.
+    /// constrains the other side. `None` when nothing was added (no links,
+    /// nothing usable bound). Sound because a row whose linked variable is
+    /// unbound or not a geometry cannot satisfy the originating `geof:`
+    /// conjunct anyway, and the filter is always re-applied downstream.
     fn sideways_spatial(
         &mut self,
         constraints: &Constraints,
         batch: &Batch,
         receivers: Option<&[&str]>,
     ) -> Option<HashMap<String, Envelope>> {
-        if !self.options.planner || constraints.spatial_links.is_empty() || batch.is_empty() {
+        if constraints.spatial_links.is_empty() || batch.is_empty() {
             return None;
         }
         // With a spatial sketch on hand, a union envelope wider than

@@ -1,7 +1,7 @@
 //! L1/L2/L3: the paper's listings, near verbatim.
 
 use copernicus_app_lab::core::{MaterializedWorkflow, VirtualWorkflowBuilder};
-use copernicus_app_lab::data::{grids, ParisFixture};
+use copernicus_app_lab::data::{grids, mappings, ParisFixture};
 use copernicus_app_lab::geotriples::parse_mappings;
 use copernicus_app_lab::obda::sql::{FromClause, SourceQuery};
 use copernicus_app_lab::rdf::Graph;
@@ -29,20 +29,7 @@ fn listing1_bois_de_boulogne() {
     }
     wf.load_graph(&g);
 
-    let r = wf
-        .query(
-            r#"SELECT DISTINCT ?geoA ?geoB ?lai WHERE
-{ ?areaA osm:poiType osm:park .
-  ?areaA geo:hasGeometry ?geomA .
-  ?geomA geo:asWKT ?geoA .
-  ?areaA osm:hasName "Bois de Boulogne" .
-  ?areaB lai:hasLai ?lai .
-  ?areaB geo:hasGeometry ?geomB .
-  ?geomB geo:asWKT ?geoB .
-  FILTER(geof:sfIntersects(?geoA, ?geoB))
-}"#,
-        )
-        .unwrap();
+    let r = wf.query(LISTING_1).unwrap();
     assert_eq!(r.len(), 2);
     let mut values: Vec<f64> = (0..r.len())
         .map(|i| {
@@ -56,6 +43,65 @@ fn listing1_bois_de_boulogne() {
         .collect();
     values.sort_by(|a, b| a.partial_cmp(b).unwrap());
     assert_eq!(values, vec![3.7, 4.1]);
+}
+
+/// Listing 1 over the virtual graphs of the default fixture: the park and
+/// the observations are two variable-connected components, each rewritten
+/// into one source query, with the park's envelope narrowing the
+/// observation fetch. No pattern is scanned on its own, and the rows are
+/// the materialized graph's.
+#[test]
+fn listing1_virtual_rewrites_each_component_once() {
+    let fixture = ParisFixture::default_fixture();
+    let mut lai = fixture.lai.clone();
+    lai.name = "lai_300m".into();
+    let mut builder = VirtualWorkflowBuilder::local();
+    builder.publish(lai);
+    builder.add_opendap("lai_300m", "LAI", Duration::from_secs(600));
+    builder
+        .add_mappings(&mappings::opendap_lai_mapping("lai_300m", 10))
+        .unwrap();
+    builder.add_table(fixture.world.osm_table());
+    builder.add_mappings(mappings::OSM_MAPPING).unwrap();
+    let wf = builder.seal().unwrap();
+
+    let explain = wf.query_explained(LISTING_1).unwrap();
+    assert!(
+        explain.stats.source_queries <= 2,
+        "{} source queries:\n{}",
+        explain.stats.source_queries,
+        explain.report()
+    );
+    assert!(
+        explain.profile.find("scan").is_none(),
+        "a pattern was scanned on its own:\n{}",
+        explain.report()
+    );
+    let mut rewrites = Vec::new();
+    explain.profile.find_all("obda.bgp_rewrite", &mut rewrites);
+    assert_eq!(rewrites.len(), 2, "{}", explain.report());
+
+    let oracle = copernicus_app_lab::sparql::query(&wf.materialize().unwrap(), LISTING_1).unwrap();
+    assert!(!oracle.is_empty());
+    assert_eq!(sorted_rows(&explain.results), sorted_rows(&oracle));
+}
+
+const LISTING_1: &str = r#"SELECT DISTINCT ?geoA ?geoB ?lai WHERE
+{ ?areaA osm:poiType osm:park .
+  ?areaA geo:hasGeometry ?geomA .
+  ?geomA geo:asWKT ?geoA .
+  ?areaA osm:hasName "Bois de Boulogne" .
+  ?areaB lai:hasLai ?lai .
+  ?areaB geo:hasGeometry ?geomB .
+  ?geomB geo:asWKT ?geoB .
+  FILTER(geof:sfIntersects(?geoA, ?geoB))
+}"#;
+
+fn sorted_rows(r: &copernicus_app_lab::sparql::QueryResults) -> Vec<String> {
+    let csv = r.to_csv();
+    let mut rows: Vec<String> = csv.lines().skip(1).map(str::to_string).collect();
+    rows.sort();
+    rows
 }
 
 /// Listing 2: the mapping parses (with the paper's URL form, cache window

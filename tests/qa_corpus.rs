@@ -9,6 +9,7 @@
 //! move the artifact into `qa/corpus/` once the underlying bug is fixed.
 
 use applab_qa::{load_dir, CorpusCase, DatasetSpec, Harness, Verdict};
+use copernicus_app_lab::sparql::EvalOptions;
 use std::path::Path;
 
 fn corpus_dir() -> std::path::PathBuf {
@@ -100,6 +101,96 @@ fn batch_boundary_pins_are_non_vacuous() {
         widest > 7.0,
         "widest group has {widest} members — no group spans the sequential batch window of 7"
     );
+}
+
+/// The component-split pins only pin something if the virtual workflow
+/// really answers their BGP component by component, and if the rows they
+/// compare are not all empty by accident.
+#[test]
+fn component_pins_are_non_vacuous() {
+    let cases = load_dir(&corpus_dir()).expect("corpus loads");
+    let pins: Vec<&CorpusCase> = cases
+        .iter()
+        .map(|(_, c)| c)
+        .filter(|c| c.name.starts_with("component_"))
+        .collect();
+    assert!(pins.len() >= 7, "the component-split pins are missing");
+    for case in pins {
+        let h = Harness::new(case.dataset.clone()).expect("dataset builds");
+        let explain = h
+            .engines
+            .vw
+            .query_explained_with(&case.query, &EvalOptions::sequential())
+            .unwrap_or_else(|e| panic!("{}: {e}", case.name));
+        let mut rewrites = Vec::new();
+        explain.profile.find_all("obda.bgp_rewrite", &mut rewrites);
+        // The empty first component stops the walk after one rewrite.
+        let (min_rewrites, rows) = if case.name == "component_empty_first_component" {
+            (1, 0..=0)
+        } else {
+            (2, 1..=usize::MAX)
+        };
+        assert!(
+            rewrites.len() >= min_rewrites,
+            "{}: {} components rewritten\n{}",
+            case.name,
+            rewrites.len(),
+            explain.report()
+        );
+        assert!(
+            explain.profile.find("scan").is_none(),
+            "{}: a pattern was scanned on its own\n{}",
+            case.name,
+            explain.report()
+        );
+        assert!(
+            rows.contains(&explain.results.len()),
+            "{}: {} rows",
+            case.name,
+            explain.results.len()
+        );
+    }
+
+    // Listing 1 in either written order: the same rows, with the park
+    // envelope narrowing the observation fetch only when the parks come
+    // first.
+    let reversed = find_case(&cases, "component_listing1_reversed");
+    let h = Harness::new(reversed.dataset.clone()).expect("dataset builds");
+    let written = "SELECT DISTINCT ?geoA ?geoB ?lai WHERE { ?areaA osm:poiType osm:park . ?areaA geo:hasGeometry ?geomA . ?geomA geo:asWKT ?geoA . ?areaB lai:hasLai ?lai . ?areaB geo:hasGeometry ?geomB . ?geomB geo:asWKT ?geoB . FILTER(geof:sfIntersects(?geoA, ?geoB)) }";
+    let fetched = |q: &str| {
+        let explain = h
+            .engines
+            .vw
+            .query_explained_with(q, &EvalOptions::sequential())
+            .expect("Listing 1 evaluates");
+        let mut executes = Vec::new();
+        explain.profile.find_all("obda.execute", &mut executes);
+        let opendap_rows: Vec<u64> = executes
+            .iter()
+            .filter(|s| {
+                s.field("table")
+                    .is_some_and(|t| t.to_string().starts_with("opendap:"))
+            })
+            .filter_map(|s| s.field("rows").and_then(|v| v.as_u64()))
+            .collect();
+        (applab_qa::canonicalize(&explain.results), opendap_rows)
+    };
+    let (forward_rows, forward_fetch) = fetched(written);
+    let (reversed_rows, reversed_fetch) = fetched(&reversed.query);
+    assert_eq!(forward_rows, reversed_rows);
+    assert_eq!((forward_fetch.len(), reversed_fetch.len()), (1, 1));
+    assert!(
+        forward_fetch[0] < reversed_fetch[0],
+        "the park envelope must narrow the fetch: {forward_fetch:?} vs {reversed_fetch:?}"
+    );
+}
+
+fn find_case<'a>(cases: &'a [(std::path::PathBuf, CorpusCase)], name: &str) -> &'a CorpusCase {
+    cases
+        .iter()
+        .map(|(_, c)| c)
+        .find(|c| c.name == name)
+        .unwrap_or_else(|| panic!("corpus must keep the {name} pin"))
 }
 
 #[test]
