@@ -1,11 +1,10 @@
 //! Dense n-dimensional arrays with DAP hyperslab subsetting.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One dimension of a hyperslab: `start:stride:stop`, all inclusive, DAP
 /// constraint-expression semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Range {
     pub start: usize,
     pub stride: usize,
@@ -73,7 +72,7 @@ impl std::error::Error for ShapeError {}
 
 /// A dense, row-major f64 array. Missing values are NaN (the CF
 /// `_FillValue` convention is applied on ingest).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NdArray {
     shape: Vec<usize>,
     data: Vec<f64>,

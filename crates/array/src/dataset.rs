@@ -1,11 +1,10 @@
 //! Datasets: named dimensions, variables and attributes (the NetCDF model).
 
 use crate::array::{NdArray, Range, ShapeError};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// An attribute value (NetCDF attributes are text, numbers or number lists).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AttrValue {
     Text(String),
     Number(f64),
@@ -50,7 +49,7 @@ impl From<f64> for AttrValue {
 pub type Attributes = BTreeMap<String, AttrValue>;
 
 /// A variable: data over named dimensions plus attributes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Variable {
     pub name: String,
     /// Dimension names, one per array axis, in axis order.
@@ -81,7 +80,7 @@ impl Variable {
 }
 
 /// A dataset: dimensions, variables, global attributes.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Dataset {
     pub name: String,
     /// Dimension name → length, in insertion order.
@@ -178,15 +177,19 @@ impl Dataset {
     /// `dim`, assuming a monotonically increasing coordinate. `None` when
     /// the interval selects nothing.
     pub fn index_range(&self, dim: &str, lo: f64, hi: f64) -> Option<Range> {
-        let coord = self.coordinate(dim)?;
-        let values = coord.data.data();
-        let start = values.iter().position(|&v| v >= lo)?;
-        let stop = values.iter().rposition(|&v| v <= hi)?;
-        if stop < start {
-            return None;
-        }
-        Some(Range::new(start, 1, stop))
+        index_range(self.coordinate(dim)?.data.data(), lo, hi)
     }
+}
+
+/// Inclusive index range of the increasing `values` within `[lo, hi]`.
+/// `None` when the interval selects nothing.
+pub fn index_range(values: &[f64], lo: f64, hi: f64) -> Option<Range> {
+    let start = values.iter().position(|&v| v >= lo)?;
+    let stop = values.iter().rposition(|&v| v <= hi)?;
+    if stop < start {
+        return None;
+    }
+    Some(Range::new(start, 1, stop))
 }
 
 #[cfg(test)]
@@ -272,6 +275,11 @@ mod tests {
         assert!(ds.index_range("lon", 3.5, 4.0).is_none());
         let all = ds.index_range("lat", 0.0, 100.0).unwrap();
         assert_eq!(all.count(), 4);
+        let lons = [2.0, 2.25, 2.5, 2.75, 3.0];
+        // Empty selection: the interval lies past the last coordinate.
+        assert!(index_range(&lons, 3.5, 4.0).is_none());
+        // The interval falls between two coordinates: stop (1) < start (2).
+        assert!(index_range(&lons, 2.3, 2.4).is_none());
     }
 
     #[test]

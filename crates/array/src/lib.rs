@@ -23,4 +23,4 @@ pub mod ncml;
 pub mod time;
 
 pub use array::{HyperSlab, NdArray, Range};
-pub use dataset::{AttrValue, Dataset, Variable};
+pub use dataset::{index_range, AttrValue, Dataset, Variable};

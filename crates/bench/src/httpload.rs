@@ -1,19 +1,14 @@
-//! A minimal blocking HTTP/1.1 client and an open-loop load generator
-//! for driving `applab-http` over real sockets.
+//! A minimal blocking HTTP/1.1 client for driving `applab-http` over real
+//! sockets.
 //!
 //! The client speaks exactly the subset the wire plane emits — status
 //! line + headers, `Content-Length` bodies, and `Transfer-Encoding:
 //! chunked` (de-chunked transparently) — over a persistent keep-alive
-//! connection. The load generator is *open-loop*: every request has a
-//! scheduled arrival time fixed before the run starts, and latency is
-//! measured from that schedule, not from when the connection got around
-//! to sending. A saturated server therefore shows up as growing
-//! latency (the queue it built), not as a silently reduced offered rate
-//! — the coordinated-omission trap a closed loop falls into.
+//! connection.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Percent-encode `s` for use inside a query-string value
 /// (RFC 3986 unreserved characters pass through).
@@ -222,121 +217,6 @@ impl HttpClient {
                 ));
             }
         }
-    }
-}
-
-/// Aggregate results of one open-loop sweep.
-#[derive(Debug)]
-pub struct LoadReport {
-    /// Concurrent persistent connections used.
-    pub connections: usize,
-    /// Arrival rate the schedule offered, requests/second.
-    pub offered_rps: f64,
-    /// Completed requests / wall time.
-    pub achieved_rps: f64,
-    /// Total requests attempted.
-    pub requests: usize,
-    /// Responses with status 200.
-    pub ok: usize,
-    /// Non-200 responses plus transport errors.
-    pub errors: usize,
-    /// Total response-body bytes received.
-    pub body_bytes: u64,
-    /// Latency percentiles, measured from each request's *scheduled*
-    /// arrival (open-loop: server backlog counts against latency).
-    pub p50: Duration,
-    /// 95th percentile.
-    pub p95: Duration,
-    /// 99th percentile.
-    pub p99: Duration,
-    /// Worst observed latency.
-    pub max: Duration,
-}
-
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
-/// Run an open-loop sweep: `requests` total arrivals, uniformly spaced
-/// at `offered_rps`, round-robined over `connections` persistent
-/// keep-alive connections cycling through `targets` (request targets
-/// for `GET`). Each connection sends its share strictly on schedule;
-/// if the server falls behind, the backlog shows up as latency.
-pub fn open_loop_sweep(
-    addr: SocketAddr,
-    targets: &[String],
-    connections: usize,
-    offered_rps: f64,
-    requests: usize,
-) -> LoadReport {
-    assert!(connections > 0 && !targets.is_empty() && offered_rps > 0.0);
-    let interval = Duration::from_secs_f64(1.0 / offered_rps);
-    let start = Instant::now() + Duration::from_millis(5);
-    let mut latencies: Vec<Duration> = Vec::with_capacity(requests);
-    let (mut ok, mut errors) = (0usize, 0usize);
-    let mut body_bytes = 0u64;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..connections)
-            .map(|c| {
-                scope.spawn(move || {
-                    let mut client = HttpClient::connect(addr).expect("connect load client");
-                    let mut mine = Vec::new();
-                    let (mut ok, mut errors) = (0usize, 0usize);
-                    let mut bytes = 0u64;
-                    // Connection c owns arrivals c, c+C, c+2C, ...
-                    for k in (c..requests).step_by(connections) {
-                        let scheduled = start + interval.mul_f64(k as f64);
-                        if let Some(wait) = scheduled.checked_duration_since(Instant::now()) {
-                            std::thread::sleep(wait);
-                        }
-                        match client.get(&targets[k % targets.len()]) {
-                            Ok(resp) => {
-                                bytes += resp.body.len() as u64;
-                                if resp.status == 200 {
-                                    ok += 1;
-                                } else {
-                                    errors += 1;
-                                }
-                            }
-                            Err(_) => {
-                                errors += 1;
-                                // Transport error kills the connection;
-                                // re-establish for the rest of the share.
-                                client = HttpClient::connect(addr).expect("reconnect load client");
-                            }
-                        }
-                        mine.push(scheduled.elapsed());
-                    }
-                    (mine, ok, errors, bytes)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (mine, o, e, b) = h.join().expect("load connection thread");
-            latencies.extend(mine);
-            ok += o;
-            errors += e;
-            body_bytes += b;
-        }
-    });
-    let wall = start.elapsed();
-    latencies.sort_unstable();
-    LoadReport {
-        connections,
-        offered_rps,
-        achieved_rps: requests as f64 / wall.as_secs_f64(),
-        requests,
-        ok,
-        errors,
-        body_bytes,
-        p50: percentile(&latencies, 0.50),
-        p95: percentile(&latencies, 0.95),
-        p99: percentile(&latencies, 0.99),
-        max: latencies.last().copied().unwrap_or_default(),
     }
 }
 

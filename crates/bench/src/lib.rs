@@ -1,10 +1,8 @@
-//! Shared benchmark workloads.
+//! Shared experiment workloads.
 //!
-//! Everything the Criterion benches and the `exp_*` table harnesses share:
-//! the mini-Geographica query mix (bench B2/B3), the on-the-fly vs
-//! materialized setup (B1), the viewport trace (B7) and Poisson arrivals
-//! for the cache-window sweep (B4). See DESIGN.md §4 for the experiment
-//! index.
+//! Everything the `exp_*` table harnesses share: the mini-Geographica
+//! query mix (B2/B3), the viewport trace (B7) and Poisson arrivals for the
+//! cache-window sweep (B4). See DESIGN.md §4 for the experiment index.
 
 pub mod httpload;
 
@@ -13,7 +11,6 @@ use applab_geo::{Coord, Envelope};
 use applab_geotriples::parse_mappings;
 use applab_obda::{DataSource, VirtualGraph};
 use applab_rdf::Graph;
-use applab_sparql::{GraphSource, QueryResults};
 use applab_store::{NaiveStore, SpatioTemporalStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -120,16 +117,6 @@ pub fn geographica_setup(seed: u64, cells: usize) -> GeographicaSetup {
     }
 }
 
-/// Run one query against one engine, returning the row count (keeps the
-/// optimizer honest in benches).
-pub fn run_query(source: &dyn GraphSource, sparql: &str) -> usize {
-    match applab_sparql::query(source, sparql) {
-        Ok(QueryResults::Solutions { rows, .. }) => rows.len(),
-        Ok(_) => 0,
-        Err(e) => panic!("query failed: {e}"),
-    }
-}
-
 /// A mobile viewport trace: `pans` small pans followed by a zoom, repeated
 /// (the "modest panning and zooming interaction" of Section 5).
 pub fn viewport_trace(seed: u64, steps: usize) -> Vec<Envelope> {
@@ -202,6 +189,15 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use applab_sparql::{GraphSource, QueryResults};
+
+    fn run_query(source: &dyn GraphSource, sparql: &str) -> usize {
+        match applab_sparql::query(source, sparql) {
+            Ok(QueryResults::Solutions { rows, .. }) => rows.len(),
+            Ok(_) => 0,
+            Err(e) => panic!("query failed: {e}"),
+        }
+    }
 
     #[test]
     fn engines_agree_on_all_geographica_queries() {

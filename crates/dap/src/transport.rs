@@ -90,8 +90,8 @@ pub struct SimulatedWan {
     /// Response throughput in bytes per second.
     pub bytes_per_sec: f64,
     /// When true (default), [`Transport::charge`] actually sleeps so wall
-    /// clocks (and Criterion) observe the cost. When false, the cost is
-    /// only accounted (fast deterministic tests).
+    /// clocks observe the cost. When false, the cost is only accounted
+    /// (fast deterministic tests).
     pub sleep: bool,
     charged_nanos: Arc<Counter>,
     trips: Arc<Counter>,

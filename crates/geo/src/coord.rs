@@ -1,12 +1,10 @@
 //! Planar coordinates and axis-aligned bounding envelopes.
 
-use serde::{Deserialize, Serialize};
-
 /// A 2-D coordinate. In the Copernicus setting `x` is longitude (degrees
 /// east) and `y` is latitude (degrees north), but nothing in this crate
 /// assumes a particular CRS: all algorithms are planar, which is how the
 /// paper's stack treats GeoSPARQL WGS84 literals as well.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Coord {
     pub x: f64,
     pub y: f64,
@@ -43,7 +41,7 @@ impl From<(f64, f64)> for Coord {
 
 /// An axis-aligned bounding box. `Envelope::EMPTY` is the identity of
 /// [`Envelope::union`]; it contains nothing and intersects nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Envelope {
     pub min_x: f64,
     pub min_y: f64,

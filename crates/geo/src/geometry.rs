@@ -1,10 +1,9 @@
 //! The simple-features geometry model.
 
 use crate::coord::{Coord, Envelope};
-use serde::{Deserialize, Serialize};
 
 /// A point geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Point(pub Coord);
 
 impl Point {
@@ -28,7 +27,7 @@ impl Point {
 /// An ordered sequence of coordinates. Used both for standalone linestrings
 /// and for polygon rings (in which case the first and last coordinates must
 /// coincide).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LineString(pub Vec<Coord>);
 
 impl LineString {
@@ -66,7 +65,7 @@ impl LineString {
 
 /// A polygon with one exterior ring and zero or more interior rings (holes).
 /// Rings are stored as closed [`LineString`]s.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Polygon {
     pub exterior: LineString,
     pub interiors: Vec<LineString>,
@@ -107,7 +106,7 @@ impl Polygon {
 }
 
 /// Any simple-features geometry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Geometry {
     Point(Point),
     MultiPoint(Vec<Point>),

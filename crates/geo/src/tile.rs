@@ -7,11 +7,10 @@
 //! instead caches raw bounding boxes, which almost never recur while panning.
 
 use crate::coord::{Coord, Envelope};
-use serde::{Deserialize, Serialize};
 
 /// A tile address: zoom level plus column/row in a 2^z × 2^z grid laid over
 /// the domain envelope.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TileId {
     pub zoom: u8,
     pub col: u32,

@@ -10,8 +10,8 @@
 //!
 //! Two exposition formats are supported: Prometheus text exposition
 //! ([`Registry::to_prometheus`]) and a JSON snapshot
-//! ([`Registry::to_json`]) that the `exp_*` bench harnesses dump next to
-//! their `BENCH_*.json` result files.
+//! ([`Registry::to_json`]) that the `exp_*` experiment harnesses dump as
+//! `METRICS_<experiment>.json` when they finish.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -491,7 +491,7 @@ impl SloEntry {
 }
 
 /// A set of [`SloEntry`]s with a plain-text table rendering, emitted by
-/// `examples/ops.rs` and the exp_service bench.
+/// `examples/ops.rs`.
 #[derive(Debug, Clone, Default)]
 pub struct SloReport {
     /// One row per histogram series, sorted by series name.

@@ -15,7 +15,7 @@
 //!   to index-aligned tiles; [`BboxFetcher`] is the WCS-style baseline that
 //!   caches raw bounding boxes. Bench B7 compares their hit rates.
 
-use applab_array::{Range, Variable};
+use applab_array::{index_range, Range, Variable};
 use applab_dap::clock::Clock;
 use applab_dap::{Constraint, DapClient, DapError};
 use applab_geo::tile::TileGrid;
@@ -172,16 +172,6 @@ impl SubsetCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-/// Inclusive index range of sorted `values` within `[lo, hi]`.
-fn index_range(values: &[f64], lo: f64, hi: f64) -> Option<Range> {
-    let start = values.iter().position(|&v| v >= lo)?;
-    let stop = values.iter().rposition(|&v| v <= hi)?;
-    if stop < start {
-        return None;
-    }
-    Some(Range::new(start, 1, stop))
 }
 
 /// Shared base for the two viewport fetchers: knows the dataset's lat/lon

@@ -12,7 +12,8 @@
 //! aggregations such that downstream services may request for derived
 //! variables ... such as a long-term (moving) average (summer-time) or
 //! spatial central tendency (city-average)") is [`analytics`]; Kubernetes
-//! is replaced by a crossbeam worker pool ([`pool`]).
+//! is replaced by an order-preserving parallel map over scoped threads
+//! ([`pool`]).
 //!
 //! Viewport requests emit `sdl.viewport` spans and the subset cache
 //! reports instance-labeled `applab_sdl_cache_*` counters to the
@@ -28,5 +29,4 @@ pub mod pool;
 pub mod sdl;
 
 pub use cache::{BboxFetcher, SubsetCache, TiledFetcher};
-pub use pool::{PoolPanics, WorkerPool};
 pub use sdl::{Sdl, SdlError};

@@ -1,15 +1,12 @@
-//! A crossbeam worker pool.
+//! Order-preserving parallel map over scoped threads.
 //!
 //! The paper runs the RAMANI Cloud Analytics containers under Kubernetes
 //! ("we used Kubernetes for managing the containerized applications across
-//! multiple hosts"); at laptop scale the equivalent is a fixed pool of
-//! worker threads draining a job queue. The pool is also reused by the
-//! GeoTriples parallel mapping processor's consumers.
+//! multiple hosts"); at laptop scale the equivalent is a few worker threads
+//! draining a shared job list, which is what [`run_parallel`] does for
+//! [`Sdl::get_animation`](crate::Sdl::get_animation).
 
-use crossbeam::channel;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use parking_lot::Mutex;
 
 /// Run `jobs` on `workers` threads, preserving input order in the output.
 pub fn run_parallel<T, R, F>(workers: usize, jobs: Vec<T>, f: F) -> Vec<R>
@@ -18,132 +15,36 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let workers = workers.max(1);
-    if workers == 1 || jobs.len() <= 1 {
+    if workers <= 1 || jobs.len() <= 1 {
         return jobs.into_iter().map(f).collect();
     }
     let n = jobs.len();
-    let (job_tx, job_rx) = channel::unbounded::<(usize, T)>();
-    let (res_tx, res_rx) = channel::unbounded::<(usize, R)>();
-    for (i, job) in jobs.into_iter().enumerate() {
-        job_tx.send((i, job)).expect("queue open");
-    }
-    drop(job_tx);
-
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            let f = &f;
-            scope.spawn(move || {
-                while let Ok((i, job)) = job_rx.recv() {
-                    let _ = res_tx.send((i, f(job)));
-                }
-            });
-        }
-        drop(res_tx);
-        let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        while let Ok((i, r)) = res_rx.recv() {
-            out[i] = Some(r);
-        }
-        out.into_iter().map(|r| r.expect("every job ran")).collect()
-    })
-}
-
-/// The error [`WorkerPool::shutdown`] reports when jobs panicked: the
-/// jobs were isolated (their panics did not strand a worker or poison the
-/// queue) but their work was lost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolPanics {
-    /// Number of submitted jobs that panicked.
-    pub jobs: u64,
-}
-
-impl std::fmt::Display for PoolPanics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} pool job(s) panicked", self.jobs)
-    }
-}
-
-impl std::error::Error for PoolPanics {}
-
-/// A long-lived pool for fire-and-forget jobs (the "deployment,
-/// maintenance, and scaling" part: jobs submitted while the pool runs).
-///
-/// A panicking job no longer kills its worker thread: panics are caught,
-/// counted (`applab_sdl_pool_panicked_jobs_total`), and surfaced when the
-/// pool [shuts down](Self::shutdown); the worker keeps draining the queue.
-pub struct WorkerPool {
-    job_tx: Option<channel::Sender<Box<dyn FnOnce() + Send>>>,
-    handles: Vec<JoinHandle<()>>,
-    panicked: Arc<AtomicU64>,
-}
-
-impl WorkerPool {
-    pub fn new(workers: usize) -> Self {
-        let (job_tx, job_rx) = channel::unbounded::<Box<dyn FnOnce() + Send>>();
-        let panicked = Arc::new(AtomicU64::new(0));
-        let handles = (0..workers.max(1))
+        let handles: Vec<_> = (0..workers.min(n))
             .map(|_| {
-                let rx = job_rx.clone();
-                let panicked = panicked.clone();
-                std::thread::spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        // AssertUnwindSafe: the job is FnOnce + Send and is
-                        // consumed here; nothing of it survives the unwind.
-                        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err() {
-                            panicked.fetch_add(1, Ordering::Relaxed);
-                            applab_obs::counter!("applab_sdl_pool_panicked_jobs_total").inc();
-                            // The pool serves the DAP fetch path; ops
-                            // dashboards watch the dap-prefixed series.
-                            applab_obs::counter!("applab_dap_worker_panics_total").inc();
-                        }
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // A statement of its own, so the guard drops before the job runs.
+                        let next = queue.lock().next();
+                        let Some((i, job)) = next else { return done };
+                        done.push((i, f(job)));
                     }
                 })
             })
             .collect();
-        WorkerPool {
-            job_tx: Some(job_tx),
-            handles,
-            panicked,
+        for handle in handles {
+            let done = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (i, r) in done {
+                out[i] = Some(r);
+            }
         }
-    }
-
-    /// Submit a job. Panics if the pool is already shut down.
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        self.job_tx
-            .as_ref()
-            .expect("pool alive")
-            .send(Box::new(job))
-            .expect("workers alive");
-    }
-
-    /// Jobs that panicked so far.
-    pub fn panicked_jobs(&self) -> u64 {
-        self.panicked.load(Ordering::Relaxed)
-    }
-
-    /// Wait for all submitted jobs to finish and stop the workers.
-    /// Reports how many jobs panicked along the way, if any.
-    pub fn shutdown(mut self) -> Result<(), PoolPanics> {
-        self.job_tx.take(); // close the queue
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-        match self.panicked.load(Ordering::Relaxed) {
-            0 => Ok(()),
-            jobs => Err(PoolPanics { jobs }),
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.job_tx.take();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
+    });
+    out.into_iter().map(|r| r.expect("every job ran")).collect()
 }
 
 #[cfg(test)]
@@ -167,94 +68,5 @@ mod tests {
     fn run_parallel_empty() {
         let out: Vec<u64> = run_parallel(4, Vec::<u64>::new(), |x| x);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn pool_runs_submitted_jobs() {
-        let counter = Arc::new(AtomicU64::new(0));
-        let pool = WorkerPool::new(4);
-        for _ in 0..50 {
-            let c = counter.clone();
-            pool.submit(move || {
-                c.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        pool.shutdown().expect("no panicking jobs");
-        assert_eq!(counter.load(Ordering::SeqCst), 50);
-    }
-
-    #[test]
-    fn panicking_jobs_are_isolated_and_reported() {
-        let counter = Arc::new(AtomicU64::new(0));
-        let pool = WorkerPool::new(2);
-        for i in 0..20 {
-            let c = counter.clone();
-            pool.submit(move || {
-                if i % 5 == 0 {
-                    panic!("job {i} exploded");
-                }
-                c.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        // Workers survive the panics and drain every job.
-        let err = pool.shutdown().expect_err("panics must be surfaced");
-        assert_eq!(err, PoolPanics { jobs: 4 });
-        assert_eq!(counter.load(Ordering::SeqCst), 16);
-    }
-
-    #[test]
-    fn panicked_jobs_counter_is_live() {
-        let pool = WorkerPool::new(1);
-        pool.submit(|| panic!("boom"));
-        let done = Arc::new(AtomicU64::new(0));
-        let d = done.clone();
-        // A job *after* the panic still runs on the same worker.
-        pool.submit(move || {
-            d.store(1, Ordering::SeqCst);
-        });
-        while done.load(Ordering::SeqCst) == 0 {
-            std::thread::yield_now();
-        }
-        assert_eq!(pool.panicked_jobs(), 1);
-        assert!(pool.shutdown().is_err());
-    }
-
-    /// Caught worker panics are visible in the global registry *live*
-    /// (not only at shutdown): the ops counter increments as soon as
-    /// the panic is caught.
-    #[test]
-    fn worker_panics_increment_the_global_counter() {
-        // The global registry is shared across tests in this binary:
-        // assert on the delta, not the absolute value.
-        let counter = applab_obs::global().counter("applab_dap_worker_panics_total");
-        let before = counter.get();
-        let pool = WorkerPool::new(1);
-        pool.submit(|| panic!("boom"));
-        let done = Arc::new(AtomicU64::new(0));
-        let d = done.clone();
-        pool.submit(move || {
-            d.store(1, Ordering::SeqCst);
-        });
-        while done.load(Ordering::SeqCst) == 0 {
-            std::thread::yield_now();
-        }
-        assert_eq!(counter.get(), before + 1);
-        assert!(pool.shutdown().is_err());
-    }
-
-    #[test]
-    fn pool_drop_is_graceful() {
-        let counter = Arc::new(AtomicU64::new(0));
-        {
-            let pool = WorkerPool::new(2);
-            for _ in 0..10 {
-                let c = counter.clone();
-                pool.submit(move || {
-                    c.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-            // Dropped without explicit shutdown.
-        }
-        assert_eq!(counter.load(Ordering::SeqCst), 10);
     }
 }

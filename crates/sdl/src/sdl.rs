@@ -11,7 +11,7 @@ use crate::analytics::{self, CentralTendency, TimeSeries};
 use crate::cache::SubsetCache;
 use crate::pool::run_parallel;
 use applab_array::time::TimeAxis;
-use applab_array::{AttrValue, NdArray, Range, Variable};
+use applab_array::{index_range, AttrValue, NdArray, Range, Variable};
 use applab_dap::clock::Clock;
 use applab_dap::das::Das;
 use applab_dap::dds::Dds;
@@ -522,15 +522,6 @@ impl Sdl {
             }
         }
     }
-}
-
-fn index_range(values: &[f64], lo: f64, hi: f64) -> Option<Range> {
-    let start = values.iter().position(|&v| v >= lo)?;
-    let stop = values.iter().rposition(|&v| v <= hi)?;
-    if stop < start {
-        return None;
-    }
-    Some(Range::new(start, 1, stop))
 }
 
 #[cfg(test)]

@@ -2970,16 +2970,21 @@ mod tests {
             self.terms.len() as u64
         }
 
-        fn scan_ids(&self, s: Option<u64>, p: Option<u64>, o: Option<u64>) -> Vec<(u64, u64, u64)> {
-            self.triples
-                .iter()
-                .filter(|&&(ts, tp, to)| {
-                    s.is_none_or(|s| s == ts)
-                        && p.is_none_or(|p| p == tp)
-                        && o.is_none_or(|o| o == to)
-                })
-                .copied()
-                .collect()
+        fn scan_ids_columns(
+            &self,
+            s: Option<u64>,
+            p: Option<u64>,
+            o: Option<u64>,
+            out: &mut IdColumns,
+        ) {
+            for &(ts, tp, to) in &self.triples {
+                if s.is_none_or(|s| s == ts)
+                    && p.is_none_or(|p| p == tp)
+                    && o.is_none_or(|o| o == to)
+                {
+                    out.push(ts, tp, to);
+                }
+            }
         }
     }
 

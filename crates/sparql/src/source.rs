@@ -68,17 +68,6 @@ pub trait GraphSource {
         None
     }
 
-    /// An optional cardinality hint for (s?, p?, o?) used by the BGP
-    /// reorderer. The default estimates nothing.
-    fn estimate(
-        &self,
-        _subject: Option<&Resource>,
-        _predicate: Option<&NamedNode>,
-        _object: Option<&Term>,
-    ) -> Option<usize> {
-        None
-    }
-
     /// Seal-time statistics for the cost-based planner
     /// ([`crate::plan`]). Sources that collect a sketch when they seal
     /// return it here; the default `None` leaves the planner without
@@ -117,10 +106,13 @@ pub trait IdAccess {
     /// Number of interned terms (ids are `0..id_count()`).
     fn id_count(&self) -> u64;
 
-    /// All id triples matching an (s?, p?, o?) id pattern.
-    fn scan_ids(&self, s: Option<u64>, p: Option<u64>, o: Option<u64>) -> Vec<(u64, u64, u64)>;
+    /// Append every id triple matching an (s?, p?, o?) id pattern to the
+    /// three match columns in `out`. Index-backed sources write their range
+    /// walks straight into the columns, and the vectorized evaluator turns
+    /// them into a solution batch without any per-row tuple allocation.
+    fn scan_ids_columns(&self, s: Option<u64>, p: Option<u64>, o: Option<u64>, out: &mut IdColumns);
 
-    /// Spatial variant of [`IdAccess::scan_ids`]: id triples whose object is
+    /// Spatial variant of [`IdAccess::scan_ids_columns`]: id triples whose object is
     /// a geometry literal with an envelope intersecting `envelope`. `None`
     /// declines (no spatial index).
     fn scan_ids_spatial(
@@ -132,7 +124,7 @@ pub trait IdAccess {
         None
     }
 
-    /// Temporal variant of [`IdAccess::scan_ids`]: id triples whose object
+    /// Temporal variant of [`IdAccess::scan_ids_columns`]: id triples whose object
     /// is a dateTime literal within `[start, end]` epoch seconds. `None`
     /// declines.
     fn scan_ids_temporal(
@@ -143,26 +135,6 @@ pub trait IdAccess {
         _end: i64,
     ) -> Option<Vec<(u64, u64, u64)>> {
         None
-    }
-
-    /// Columnar variant of [`IdAccess::scan_ids`]: append every matching id
-    /// triple to the three match columns in `out`. Index-backed sources
-    /// should override this to write their range walks straight into the
-    /// columns — the vectorized evaluator turns them into a solution batch
-    /// without any per-row tuple allocation. The default adapts
-    /// [`IdAccess::scan_ids`].
-    fn scan_ids_columns(
-        &self,
-        s: Option<u64>,
-        p: Option<u64>,
-        o: Option<u64>,
-        out: &mut IdColumns,
-    ) {
-        let triples = self.scan_ids(s, p, o);
-        out.reserve(triples.len());
-        for (ts, tp, to) in triples {
-            out.push(ts, tp, to);
-        }
     }
 
     /// The pre-parsed geometry (with envelope) of the term behind `id`, if

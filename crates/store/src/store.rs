@@ -308,16 +308,6 @@ impl GraphSource for SpatioTemporalStore {
         Some(out.into_iter().map(|ids| self.decode_triple(ids)).collect())
     }
 
-    fn estimate(
-        &self,
-        subject: Option<&Resource>,
-        predicate: Option<&NamedNode>,
-        object: Option<&Term>,
-    ) -> Option<usize> {
-        let (s, p, o) = self.encode_lookup(subject, predicate, object)?;
-        Some(self.scan(s, p, o).len())
-    }
-
     fn stats(&self) -> Option<&applab_sparql::plan::Stats> {
         self.stats.as_ref()
     }
@@ -338,10 +328,6 @@ impl IdAccess for SpatioTemporalStore {
 
     fn id_count(&self) -> u64 {
         self.dict.len() as u64
-    }
-
-    fn scan_ids(&self, s: Option<u64>, p: Option<u64>, o: Option<u64>) -> Vec<Ids> {
-        self.scan(s, p, o)
     }
 
     /// Columnar scan: walk the best permutation index and append straight
@@ -670,14 +656,6 @@ SELECT DISTINCT ?geoA ?geoB ?lai WHERE
             r.value(0, "lai").unwrap().as_literal().unwrap().as_f64(),
             Some(4.2)
         );
-    }
-
-    #[test]
-    fn estimate_reflects_cardinality() {
-        let store = grid_store(4);
-        let lai_pred = NamedNode::new(vocab::lai::HAS_LAI);
-        assert_eq!(store.estimate(None, Some(&lai_pred), None), Some(16));
-        assert_eq!(store.estimate(None, None, None), Some(store.len()));
     }
 
     #[test]

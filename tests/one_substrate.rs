@@ -1,0 +1,71 @@
+//! One substrate: the repository carries one benchmark (`benchmark/`) and
+//! the experiment bins, and nothing else that measures. These checks keep
+//! the retired bench plane from growing back: no vendored stand-in beyond
+//! the four the product uses, no root result file beyond Geographica's,
+//! and no Criterion-style `[[bench]]` target.
+
+use std::collections::BTreeSet;
+use std::fs;
+use std::path::Path;
+
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+fn dir_names(dir: &Path) -> BTreeSet<String> {
+    fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("read {}: {e}", dir.display()))
+        .map(|entry| {
+            entry
+                .expect("directory entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect()
+}
+
+#[test]
+fn vendor_holds_exactly_the_four_stand_ins_in_use() {
+    let vendored = dir_names(&root().join("vendor"));
+    let expected: BTreeSet<String> = ["bytes", "parking_lot", "proptest", "rand"]
+        .map(String::from)
+        .into();
+    assert_eq!(vendored, expected, "vendor/ must hold exactly these crates");
+}
+
+#[test]
+fn geographica_is_the_only_root_result_file() {
+    let results: BTreeSet<String> = dir_names(root())
+        .into_iter()
+        .filter(|name| {
+            name.ends_with(".json") && (name.starts_with("BENCH_") || name.starts_with("METRICS_"))
+        })
+        .collect();
+    let expected: BTreeSet<String> = ["BENCH_geographica.json", "METRICS_geographica.json"]
+        .map(String::from)
+        .into();
+    assert_eq!(
+        results, expected,
+        "only exp_geographica keeps its results at the root; run the other \
+         exp_* bins from a scratch directory"
+    );
+}
+
+#[test]
+fn no_manifest_declares_a_bench_target() {
+    let crates = root().join("crates");
+    let manifests = dir_names(&crates)
+        .into_iter()
+        .map(|name| crates.join(name).join("Cargo.toml"))
+        .chain([root().join("Cargo.toml")])
+        .filter(|path| path.is_file());
+    for manifest in manifests {
+        let text = fs::read_to_string(&manifest).expect("read manifest");
+        assert!(
+            !text.lines().any(|line| line.trim() == "[[bench]]"),
+            "{} declares a [[bench]] target; measure through benchmark/ instead",
+            manifest.display()
+        );
+    }
+}
