@@ -174,21 +174,22 @@ impl Dataset {
     }
 
     /// Inclusive index range of coordinate values within `[lo, hi]` along
-    /// `dim`, assuming a monotonically increasing coordinate. `None` when
-    /// the interval selects nothing.
+    /// `dim`, assuming a monotonic (increasing or decreasing) coordinate.
+    /// `None` when the interval selects nothing.
     pub fn index_range(&self, dim: &str, lo: f64, hi: f64) -> Option<Range> {
         index_range(self.coordinate(dim)?.data.data(), lo, hi)
     }
 }
 
-/// Inclusive index range of the increasing `values` within `[lo, hi]`.
-/// `None` when the interval selects nothing.
+/// Inclusive index range of the monotonic `values` within `[lo, hi]`.
+/// The axis may increase or decrease (products often store latitude north
+/// to south). `None` when the interval selects nothing. On a non-monotonic
+/// axis the range spans the first to the last value inside, so it may hold
+/// values outside `[lo, hi]`.
 pub fn index_range(values: &[f64], lo: f64, hi: f64) -> Option<Range> {
-    let start = values.iter().position(|&v| v >= lo)?;
-    let stop = values.iter().rposition(|&v| v <= hi)?;
-    if stop < start {
-        return None;
-    }
+    let inside = |&v: &f64| lo <= v && v <= hi;
+    let start = values.iter().position(inside)?;
+    let stop = values.iter().rposition(inside)?;
     Some(Range::new(start, 1, stop))
 }
 
@@ -278,8 +279,26 @@ mod tests {
         let lons = [2.0, 2.25, 2.5, 2.75, 3.0];
         // Empty selection: the interval lies past the last coordinate.
         assert!(index_range(&lons, 3.5, 4.0).is_none());
-        // The interval falls between two coordinates: stop (1) < start (2).
+        // The interval falls between two coordinates.
         assert!(index_range(&lons, 2.3, 2.4).is_none());
+        // `lo == hi` exactly on a coordinate selects that one index.
+        let r = index_range(&lons, 2.5, 2.5).unwrap();
+        assert_eq!((r.start, r.stop), (2, 2));
+        // An inverted interval selects nothing.
+        assert!(index_range(&lons, 2.8, 2.2).is_none());
+        // A single-element axis: in, on the edge, out.
+        assert_eq!(index_range(&[48.0], 47.0, 49.0).unwrap().count(), 1);
+        assert_eq!(index_range(&[48.0], 48.0, 48.0).unwrap().count(), 1);
+        assert!(index_range(&[48.0], 48.1, 49.0).is_none());
+        // A descending axis (latitude stored north to south).
+        let lats = [49.5, 49.0, 48.5, 48.0];
+        let r = index_range(&lats, 48.2, 49.2).unwrap();
+        assert_eq!((r.start, r.stop), (1, 2));
+        let r = index_range(&lats, 48.0, 49.0).unwrap();
+        assert_eq!((r.start, r.stop), (1, 3), "both edges are inclusive");
+        assert_eq!(index_range(&lats, 0.0, 100.0).unwrap().count(), 4);
+        assert!(index_range(&lats, 48.6, 48.9).is_none());
+        assert!(index_range(&lats, 50.0, 51.0).is_none());
     }
 
     #[test]

@@ -14,7 +14,7 @@ use applab_dap::clock::ManualClock;
 use applab_dap::server::grid_dataset;
 use applab_dap::transport::Local;
 use applab_dap::{DapClient, DapServer};
-use applab_obda::vtable::{OpendapTable, VirtualTable};
+use applab_obda::vtable::{OpendapTable, Pushdown, VirtualTable};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -44,9 +44,9 @@ fn main() {
             );
             for &at in &arrivals {
                 clock.set(Duration::from_secs_f64(at));
-                let _ = vt.open().expect("fetch");
+                let _ = vt.scan(&Pushdown::all()).expect("fetch");
             }
-            // Each uncached open costs 2 round trips (data + DAS).
+            // Each uncached scan costs 2 round trips (data + DAS).
             let calls = client.round_trips() / 2;
             let saved = 1.0 - calls as f64 / n_queries as f64;
             let lambda = 1.0 / mean_interval;

@@ -27,18 +27,35 @@ use parking_lot::RwLock;
 use std::sync::Arc;
 
 /// CRC-32 (IEEE 802.3, reflected) — the checksum DAP4 attaches to data
-/// responses. Bitwise implementation; payloads here are small enough that
-/// a lookup table would be noise.
+/// responses. Every exchange checksums its payload twice (as sent and as
+/// delivered), so it runs over every byte of a grid fetch: table-driven,
+/// one lookup per byte instead of eight shift-and-mask rounds.
 fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &byte in data {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ byte as u32) & 0xFF) as usize];
     }
     !crc
+}
+
+/// `CRC32_TABLE[b]`: the register after eight bitwise rounds from `b`.
+const CRC32_TABLE: [u32; 256] = crc32_table();
+
+const fn crc32_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
 }
 
 fn utf8(payload: Bytes) -> Result<String, DapError> {
@@ -279,6 +296,31 @@ mod tests {
         // The classic IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bitwise CRC-32, one shift-and-mask round per bit: the oracle
+    /// for the table-driven one.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in data {
+            crc ^= byte as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_table_matches_bitwise() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(32);
+        for _ in 0..200 {
+            let len = rng.gen_range(0..=4096usize);
+            let payload: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            assert_eq!(crc32(&payload), crc32_bitwise(&payload), "len {len}");
+        }
     }
 
     #[test]

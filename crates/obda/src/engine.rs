@@ -1,13 +1,14 @@
 //! The relational backend (the MadIS stand-in).
 //!
 //! A [`DataSource`] holds named in-memory tables and virtual tables, and
-//! executes [`SourceQuery`]s over them: projection, conjunctive selection,
-//! and — for base tables — an R-tree access path over geometry columns
-//! ("when data is stored in a database connected with Ontop-spatial, DBMS
-//! optimizations and database constraints are taken into account").
+//! executes [`SourceQuery`]s over them: projection, conjunctive selection
+//! and a spatial access path. Base tables get an R-tree over each geometry
+//! column ("when data is stored in a database connected with Ontop-spatial,
+//! DBMS optimizations and database constraints are taken into account"); a
+//! virtual table narrows its scan on the grid's own coordinate axes.
 
 use crate::sql::{Const, FromClause, Predicate, SourceQuery};
-use crate::vtable::{VTableRegistry, VirtualTable};
+use crate::vtable::{Pushdown, VTableRegistry, VirtualTable};
 use crate::ObdaError;
 use applab_geo::{Envelope, RTree};
 use applab_geotriples::{Row, TabularSource, Value};
@@ -93,7 +94,8 @@ impl DataSource {
 
     /// Execute a source query, optionally with a spatial access-path hint:
     /// `(geometry column, envelope)` restricts base-table scans through the
-    /// R-tree. Returns the qualifying rows (projected).
+    /// R-tree, and a virtual table's scan through its coordinate axes.
+    /// Returns the qualifying rows (projected).
     pub fn execute(
         &self,
         query: &SourceQuery,
@@ -138,23 +140,11 @@ impl DataSource {
                     .vtables
                     .get(&key)
                     .ok_or_else(|| ObdaError::NoSuchTable(key.clone()))?;
-                let rows = vtable.open()?;
-                // Remote rows have no index; selection is applied after the
-                // fetch — exactly the "no DBMS optimizations" situation the
-                // paper describes for the on-the-fly path. The rows are the
-                // window's shared copy: only the selected ones are cloned.
-                let out: Vec<Row> = rows
-                    .rows
-                    .iter()
-                    .filter(|row| {
-                        query.predicates.iter().all(|p| matches(row, p))
-                            && spatial_hint.is_none_or(|(col, env)| match row.get(col) {
-                                Some(Value::Geometry(g)) => g.envelope().intersects(env),
-                                _ => true,
-                            })
-                    })
-                    .map(|row| project(row, &query.columns))
-                    .collect();
+                let out = vtable.scan(&Pushdown {
+                    predicates: &query.predicates,
+                    columns: &query.columns,
+                    spatial: spatial_hint,
+                })?;
                 span.record("rows", out.len());
                 Ok(out)
             }
@@ -162,10 +152,13 @@ impl DataSource {
     }
 }
 
-fn matches(row: &Row, p: &Predicate) -> bool {
-    let Some(value) = row.get(&p.column) else {
-        return false;
-    };
+/// Whether `row` satisfies `p`; a row without the column fails.
+pub(crate) fn matches(row: &Row, p: &Predicate) -> bool {
+    row.get(&p.column).is_some_and(|value| satisfies(value, p))
+}
+
+/// Whether a column value satisfies `p`.
+pub(crate) fn satisfies(value: &Value, p: &Predicate) -> bool {
     let ord = match (&p.value, value) {
         (Const::Number(n), Value::Number(v)) => v.partial_cmp(n),
         (Const::Number(n), Value::Text(t)) => t.parse::<f64>().ok().and_then(|v| v.partial_cmp(n)),
@@ -176,7 +169,7 @@ fn matches(row: &Row, p: &Predicate) -> bool {
     ord.map(|o| p.op.evaluate(o)).unwrap_or(false)
 }
 
-fn project(row: &Row, columns: &[String]) -> Row {
+pub(crate) fn project(row: &Row, columns: &[String]) -> Row {
     if columns.is_empty() {
         return row.clone();
     }

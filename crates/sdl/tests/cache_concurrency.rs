@@ -9,7 +9,7 @@ use applab_array::{NdArray, Variable};
 use applab_dap::clock::ManualClock;
 use applab_dap::DapError;
 use applab_sdl::SubsetCache;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 /// A one-cell variable tagged with `value`, so tests can tell entries
@@ -31,6 +31,9 @@ fn eviction_races_concurrent_fetchers() {
     let clock = ManualClock::new();
     let cache = SubsetCache::new(Duration::from_secs(10), clock.clone());
     let stop = AtomicBool::new(false);
+    // Published by the evictor so workers can wait for its first sweep:
+    // otherwise all of them may finish before the evictor is scheduled.
+    let sweeps = AtomicU64::new(0);
     const WORKERS: usize = 8;
     const ITERS: usize = 2000;
     const KEYS: usize = 4;
@@ -38,14 +41,14 @@ fn eviction_races_concurrent_fetchers() {
     std::thread::scope(|s| {
         let cache = &cache;
         let stop = &stop;
+        let sweeps = &sweeps;
         let evictor = s.spawn(move || {
-            let mut sweeps = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 cache.evict_expired();
-                sweeps += 1;
+                sweeps.fetch_add(1, Ordering::Relaxed);
                 std::thread::yield_now();
             }
-            sweeps
+            sweeps.load(Ordering::Relaxed)
         });
         let advancer = {
             let clock = clock.clone();
@@ -60,6 +63,11 @@ fn eviction_races_concurrent_fetchers() {
             .map(|w| {
                 s.spawn(move || {
                     for i in 0..ITERS {
+                        if i == ITERS / 2 {
+                            while sweeps.load(Ordering::Relaxed) == 0 {
+                                std::thread::yield_now();
+                            }
+                        }
                         let k = (w + i) % KEYS;
                         let key = format!("k{k}");
                         let vars = cache
