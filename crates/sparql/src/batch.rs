@@ -285,6 +285,17 @@ impl Batch {
         self.cols.iter().map(Column::any_valid).collect()
     }
 
+    /// Whether every row binds `slot` (word-level; `false` when empty).
+    pub(crate) fn binds_every_row(&self, slot: usize) -> bool {
+        let valid = &self.cols[slot].valid;
+        let full = self.len / 64;
+        let tail = self.len & 63;
+        self.len > 0
+            && valid.len() == words(self.len)
+            && valid[..full].iter().all(|w| *w == u64::MAX)
+            && (tail == 0 || valid[full] | !((1u64 << tail) - 1) == u64::MAX)
+    }
+
     /// The batch containing exactly the selected rows, in selection order.
     pub(crate) fn gather(&self, sel: &[u32]) -> Batch {
         let mut out = Batch::new(self.width());
@@ -464,5 +475,23 @@ mod tests {
             ]
         );
         assert!(!out.col(2).materialized());
+    }
+
+    #[test]
+    fn binds_every_row_checks_each_word() {
+        for len in [1usize, 63, 64, 65, 130] {
+            let mut b = Batch::with_len(2, len);
+            assert!(!b.binds_every_row(0), "len {len}: lazy column");
+            b.fill_iota(0);
+            assert!(b.binds_every_row(0), "len {len}");
+            for hole in [0, len / 2, len - 1] {
+                let mut c = Batch::new(2);
+                for i in 0..len {
+                    c.push_row(&[(i != hole).then_some(i as u64), None]);
+                }
+                assert!(!c.binds_every_row(0), "len {len}, hole {hole}");
+            }
+        }
+        assert!(!Batch::new(1).binds_every_row(0));
     }
 }

@@ -21,7 +21,7 @@
 //! sources keep the decoded-triple contract and the evaluator interns terms
 //! into a query-local overflow dictionary.
 //!
-//! Two further optimizations mirror Strabon/Ontop-spatial:
+//! Three further optimizations mirror Strabon/Ontop-spatial:
 //!
 //! * **spatial/temporal pushdown** — a `FILTER` with a `geof:` predicate
 //!   between a variable and a constant geometry (or a dateTime comparison)
@@ -33,7 +33,10 @@
 //! * **compiled spatial filters** — `geof:sf*` conjuncts over variables are
 //!   evaluated against a per-id geometry cache with an envelope precheck,
 //!   so each distinct geometry is parsed once per query instead of once per
-//!   candidate row.
+//!   candidate row;
+//! * **spatial joins** — BGP components linked only by such a conjunct
+//!   are paired through an R-tree over their envelopes instead of a cross
+//!   product, and the FILTER verifies the candidates.
 //!
 //! Large hash joins probe in parallel with scoped threads; the chunked
 //! results are concatenated in order, so parallel and sequential evaluation
@@ -50,8 +53,9 @@ use crate::expr::{
 use crate::plan;
 use crate::results::{QueryResults, Row};
 use crate::source::{GraphSource, IdAccess, IdColumns};
-use applab_geo::{Envelope, Geometry, SpatialRelation};
+use applab_geo::{Envelope, Geometry, RTree, SpatialRelation};
 use applab_rdf::{vocab, Graph, Literal, NamedNode, Resource, Term, Triple};
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -695,7 +699,8 @@ struct Constraints {
     /// other side (sideways information passing — on the OBDA path this
     /// prunes OPeNDAP grid-cell fetches before any DAP round trip).
     /// Consumed between the components of a BGP always, and between the
-    /// steps of a planned BGP when the planner is on.
+    /// steps of a planned BGP when the planner is on. Two parts of a BGP
+    /// fold linked only through one meet in [`Evaluator::spatial_join`].
     spatial_links: Vec<(String, String)>,
 }
 
@@ -1131,122 +1136,229 @@ impl<'a> Evaluator<'a> {
 
     // --- BGP evaluation ----------------------------------------------------
 
+    /// Evaluate a BGP one variable-connected component at a time (Listing
+    /// 1: the park and the observations, linked only by a FILTER). Each
+    /// component goes to the source's whole-BGP hook, and is scanned
+    /// pattern by pattern if the source declines it. The parts are folded
+    /// together in one loop: the next part is the first component linked
+    /// to what is already joined (a shared bound slot, or a spatial link),
+    /// else the next one in written order. An empty fold stops the walk:
+    /// later components are never evaluated.
+    ///
+    /// The input is threaded through at most one component, the first
+    /// that mentions a variable it binds, so single-row substitution still
+    /// narrows that component's scans and duplicate input rows are never
+    /// multiplied by a second join. Every other component starts from the
+    /// seed row. An input that binds no variable of the BGP joins last.
     fn eval_bgp(
         &mut self,
         patterns: &[TriplePattern],
         input: Batch,
         constraints: &Constraints,
     ) -> Batch {
+        let width = self.slots.width;
         if patterns.is_empty() || input.is_empty() {
             return input;
         }
         let mut bgp_span = applab_obs::span("bgp");
         bgp_span.record("patterns", patterns.len());
         bgp_span.record("input_rows", input.len());
-        // Component-wise path: a BGP whose patterns fall apart into several
-        // variable-connected components (Listing 1: the park and the
-        // observations, linked only by a FILTER) offers each component to
-        // the source's whole-BGP hook on its own.
-        if patterns.len() > 1 {
-            let components = connected_components(patterns);
-            if components.len() > 1 {
-                bgp_span.record("components", components.len());
-                if let Some((answered, declined)) =
-                    self.answer_components(patterns, &components, constraints, &mut bgp_span)
-                {
-                    if answered.is_empty() {
-                        return answered;
-                    }
-                    let rest = if declined.is_empty() {
-                        input
-                    } else {
-                        self.eval_bgp_scans(&declined, input, constraints, &mut bgp_span)
-                    };
-                    return self.join(rest, answered);
-                }
-            }
+        let components = connected_components(patterns);
+        if components.len() > 1 {
+            bgp_span.record("components", components.len());
         }
-        // Sideways envelope passing (planner only): geometry variables the
-        // input batch already binds constrain their spatial-join partners,
-        // so the source's whole-BGP hook — and through it the OPeNDAP
-        // grid-cell fetch — sees the tightened envelope before any round
-        // trip happens.
-        let sideways = if self.options.planner {
-            self.sideways_spatial(constraints, &input, None)
-        } else {
-            None
-        };
-        let spatial_for_source = sideways.as_ref().unwrap_or(&constraints.spatial);
-        // OBDA fast path: let the source answer the whole BGP at once, then
-        // hash-join the answers with the current solutions.
-        if let Some(answers) = self.source.evaluate_bgp(patterns, spatial_for_source) {
-            bgp_span.record("source_bgp", true);
-            bgp_span.record("source_rows", answers.len());
-            applab_obs::querystats::scan(answers.len() as u64);
-            let build = self.bindings_batch(&answers);
-            return self.join(input, build);
-        }
-        self.eval_bgp_scans(patterns, input, constraints, &mut bgp_span)
-    }
-
-    /// Offer each variable-connected component of a BGP to the source's
-    /// whole-BGP hook, in written order. An answered component is evaluated
-    /// from the empty solution and joined with the components answered
-    /// before it (a cross product: components share no variable); the
-    /// union envelope those bound across a `geof:sf*` link constrains the
-    /// next component's spatial map, whatever [`EvalOptions::planner`]
-    /// says. Returns `None` when every component declined, else the joined
-    /// answers plus the declined patterns in written order. An empty join
-    /// stops the walk: the BGP then has no solution, and later components
-    /// are never sent to the source.
-    fn answer_components(
-        &mut self,
-        patterns: &[TriplePattern],
-        components: &[Vec<usize>],
-        constraints: &Constraints,
-        bgp_span: &mut applab_obs::Span,
-    ) -> Option<(Batch, Vec<TriplePattern>)> {
-        let mut answered: Option<Batch> = None;
-        let mut declined: Vec<TriplePattern> = Vec::new();
-        let mut source_rows = 0usize;
-        for component in components {
+        let comp_slots: Vec<Vec<usize>> = components
+            .iter()
+            .map(|c| {
+                c.iter()
+                    .flat_map(|&i| patterns[i].variables())
+                    .filter_map(|v| self.slots.get(v))
+                    .collect()
+            })
+            .collect();
+        let links: Vec<(usize, usize)> = constraints
+            .spatial_links
+            .iter()
+            .filter_map(|(a, b)| Some((self.slots.get(a)?, self.slots.get(b)?)))
+            .collect();
+        let input_bound = input.bound_slots();
+        let threaded = comp_slots
+            .iter()
+            .position(|slots| slots.iter().any(|&s| input_bound[s]));
+        let mut input = Some(input);
+        let mut pending: Vec<usize> = (0..components.len()).collect();
+        let mut acc: Option<Batch> = None;
+        let mut source_rows: Option<usize> = None;
+        while !pending.is_empty() {
             if self.interrupted() {
-                return Some((Batch::new(self.slots.width), Vec::new()));
+                return Batch::new(width);
             }
-            let component: Vec<TriplePattern> =
-                component.iter().map(|&i| patterns[i].clone()).collect();
-            let sideways = match &answered {
-                Some(bound) => {
-                    let receivers: Vec<&str> = component
+            let pick = match &acc {
+                None => threaded
+                    .and_then(|t| pending.iter().position(|&c| c == t))
+                    .unwrap_or(0),
+                Some(joined) => {
+                    let bound = joined.bound_slots();
+                    let linked = |slots: &[usize]| {
+                        slots.iter().any(|&s| bound[s])
+                            || links.iter().any(|&(a, b)| {
+                                (bound[a] && slots.contains(&b)) || (bound[b] && slots.contains(&a))
+                            })
+                    };
+                    pending
                         .iter()
-                        .flat_map(TriplePattern::variables)
-                        .collect();
-                    self.sideways_spatial(constraints, bound, Some(&receivers))
+                        .position(|&c| linked(&comp_slots[c]))
+                        .unwrap_or(0)
                 }
-                None => None,
+            };
+            let c = pending.remove(pick);
+            let start = if Some(c) == threaded {
+                input.take().expect("the input is threaded once")
+            } else {
+                Batch::seed(width)
+            };
+            let component: Cow<[TriplePattern]> = if components.len() == 1 {
+                Cow::Borrowed(patterns)
+            } else {
+                Cow::Owned(components[c].iter().map(|&i| patterns[i].clone()).collect())
+            };
+            // Sideways envelope passing: the union envelope of what is
+            // already joined across a `geof:sf*` link constrains this
+            // component's source query. The threaded input does so only
+            // for the planner.
+            let sideways = if acc.is_some() || self.options.planner {
+                let receivers: Vec<&str> = component
+                    .iter()
+                    .flat_map(TriplePattern::variables)
+                    .collect();
+                let bound = acc.as_ref().unwrap_or(&start);
+                self.sideways_spatial(constraints, bound, &receivers)
+            } else {
+                None
             };
             let spatial = sideways.as_ref().unwrap_or(&constraints.spatial);
-            let Some(answers) = self.source.evaluate_bgp(&component, spatial) else {
-                declined.extend(component);
-                continue;
+            let part = match self.source.evaluate_bgp(&component, spatial) {
+                Some(answers) => {
+                    *source_rows.get_or_insert(0) += answers.len();
+                    applab_obs::querystats::scan(answers.len() as u64);
+                    let answers = self.bindings_batch(&answers);
+                    self.join(start, answers)
+                }
+                None => self.eval_bgp_scans(&component, start, constraints, &mut bgp_span),
             };
-            source_rows += answers.len();
-            applab_obs::querystats::scan(answers.len() as u64);
-            let batch = self.bindings_batch(&answers);
-            let joined = match answered.take() {
-                Some(prev) => self.join(prev, batch),
-                None => batch,
+            let joined = match acc.take() {
+                None => part,
+                Some(prev) => self.fold_join(prev, part, &links),
             };
             let empty = joined.is_empty();
-            answered = Some(joined);
+            acc = Some(joined);
             if empty {
                 break;
             }
         }
-        let answered = answered?;
-        bgp_span.record("source_bgp", true);
-        bgp_span.record("source_rows", source_rows);
-        Some((answered, declined))
+        if let Some(rows) = source_rows {
+            bgp_span.record("source_bgp", true);
+            bgp_span.record("source_rows", rows);
+        }
+        let out = acc.expect("a BGP has at least one component");
+        match input {
+            Some(input) if !out.is_empty() => self.fold_join(input, out, &links),
+            _ => out,
+        }
+    }
+
+    /// Join two parts of a BGP fold. Parts that share no bound slot but
+    /// are linked by a spatial link whose ends each part binds in every row
+    /// go through [`Self::spatial_join`]; everything else through the hash
+    /// join.
+    fn fold_join(&mut self, probe: Batch, build: Batch, links: &[(usize, usize)]) -> Batch {
+        if !probe.is_empty() && !build.is_empty() {
+            let (bp, bb) = (probe.bound_slots(), build.bound_slots());
+            if !bp.iter().zip(&bb).any(|(p, b)| *p && *b) {
+                for &(a, b) in links {
+                    for (ps, bs) in [(a, b), (b, a)] {
+                        if probe.binds_every_row(ps) && build.binds_every_row(bs) {
+                            return self.spatial_join(probe, build, ps, bs);
+                        }
+                    }
+                }
+            }
+        }
+        self.join(probe, build)
+    }
+
+    /// The join of two parts linked only by a non-disjoint `geof:sf*`
+    /// conjunct (`probe_slot` against `build_slot`): an R-tree over the
+    /// smaller side's envelopes, probed with the other side's, yields the
+    /// candidate pairs, emitted in nested-loop order (probe-major, build
+    /// rows ascending). Sound because the enclosing FILTER still runs the
+    /// exact predicate on every candidate, and [`spatial_check`] rejects
+    /// every pair with disjoint envelopes for every non-disjoint relation.
+    /// A row whose geometry slot holds no geometry has no envelope and
+    /// joins nothing, as the FILTER would drop it too.
+    fn spatial_join(
+        &mut self,
+        probe: Batch,
+        build: Batch,
+        probe_slot: usize,
+        build_slot: usize,
+    ) -> Batch {
+        let width = self.slots.width;
+        applab_obs::counter!("applab_sparql_joins_total").inc();
+        applab_obs::querystats::join(build.len() as u64, probe.len() as u64);
+        let mut join_span = applab_obs::span("join");
+        join_span.record("kind", "spatial");
+        join_span.record("probe", probe.len());
+        join_span.record("build", build.len());
+        let probe_envs = self.slot_envelopes(&probe, probe_slot);
+        let build_envs = self.slot_envelopes(&build, build_slot);
+        // Index the smaller side: a one-row side is a one-leaf tree.
+        let build_indexed = build_envs.len() <= probe_envs.len();
+        let (indexed, scanned) = if build_indexed {
+            (&build_envs, &probe_envs)
+        } else {
+            (&probe_envs, &build_envs)
+        };
+        let tree = RTree::bulk_load(
+            indexed
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| !e.is_empty())
+                .map(|(i, e)| (*e, i as u32))
+                .collect(),
+        );
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for (n, env) in scanned.iter().enumerate() {
+            if n % CHECK_INTERVAL == 0 && self.interrupted() {
+                return Batch::new(width);
+            }
+            let n = n as u32;
+            tree.visit(env, &mut |&i| {
+                pairs.push(if build_indexed { (n, i) } else { (i, n) })
+            });
+        }
+        pairs.sort_unstable();
+        join_span.record("candidates", pairs.len());
+        let out = merge_gather(&probe, &build, &pairs);
+        join_span.record("out", out.len());
+        join_span.record_rate("rows_per_sec", out.len() as u64);
+        out
+    }
+
+    /// The envelope of the geometry each row binds at `slot` (the caller
+    /// guarantees every row binds it), from the per-id geometry cache;
+    /// [`Envelope::EMPTY`] for a term that is no geometry.
+    fn slot_envelopes(&mut self, batch: &Batch, slot: usize) -> Vec<Envelope> {
+        (0..batch.len())
+            .map(|i| {
+                let id = batch.get(i, slot).expect("the slot is bound in every row");
+                self.ensure_geometry(id);
+                self.geometries
+                    .get(&id)
+                    .and_then(GeomEntry::get)
+                    .map_or(Envelope::EMPTY, |(_, e)| *e)
+            })
+            .collect()
     }
 
     /// Intern a source's whole-BGP answers into a batch.
@@ -1398,15 +1510,13 @@ impl<'a> Evaluator<'a> {
             // the sketch proves useless are stripped so the scan takes
             // the plain index instead. Copy-on-write: most steps change
             // nothing and then the shared `constraints` is used as is.
-            let mut effective = std::borrow::Cow::Borrowed(constraints);
+            let mut effective = Cow::Borrowed(constraints);
             // Only this step's own variables can consume a sideways
             // envelope, so restrict the (whole-result) union-envelope
             // computation to them instead of walking every link each
             // step.
             let step_vars = pattern.variables();
-            if let Some(augmented) =
-                self.sideways_spatial(constraints, &result, Some(step_vars.as_slice()))
-            {
+            if let Some(augmented) = self.sideways_spatial(constraints, &result, &step_vars) {
                 effective.to_mut().spatial = augmented;
             }
             let access = plan::access_path(stats, pattern, &effective.spatial, &effective.temporal);
@@ -1529,16 +1639,18 @@ impl<'a> Evaluator<'a> {
 
     /// The augmented spatial-constraint map for a batch: for every
     /// spatial-join link ([`Constraints::spatial_links`]) with one side
-    /// bound by `batch`, the union envelope of that side's geometries
-    /// constrains the other side. `None` when nothing was added (no links,
-    /// nothing usable bound). Sound because a row whose linked variable is
-    /// unbound or not a geometry cannot satisfy the originating `geof:`
-    /// conjunct anyway, and the filter is always re-applied downstream.
+    /// bound by `batch` and the other side among `receivers` (the
+    /// variables the caller's next scan or source query can bind), the
+    /// union envelope of that side's geometries constrains the other side.
+    /// `None` when nothing was added (no links, nothing usable bound).
+    /// Sound because a row whose linked variable is unbound or not a
+    /// geometry cannot satisfy the originating `geof:` conjunct anyway, and
+    /// the filter is always re-applied downstream.
     fn sideways_spatial(
         &mut self,
         constraints: &Constraints,
         batch: &Batch,
-        receivers: Option<&[&str]>,
+        receivers: &[&str],
     ) -> Option<HashMap<String, Envelope>> {
         if constraints.spatial_links.is_empty() || batch.is_empty() {
             return None;
@@ -1558,10 +1670,9 @@ impl<'a> Evaluator<'a> {
         let mut out: Option<HashMap<String, Envelope>> = None;
         for (a, b) in &constraints.spatial_links {
             for (src, dst) in [(a, b), (b, a)] {
-                // When the caller names the variables its next scan can
-                // bind, links pointing anywhere else are skipped before
-                // the per-row union-envelope walk.
-                if receivers.is_some_and(|vars| !vars.contains(&dst.as_str())) {
+                // Links pointing anywhere else are skipped before the
+                // per-row union-envelope walk.
+                if !receivers.contains(&dst.as_str()) {
                     continue;
                 }
                 let Some(slot) = self.slots.get(src) else {
@@ -2317,28 +2428,60 @@ pub(crate) fn aggregate_values(
     }
 }
 
-fn sort_rows(rows: &mut [Row], variables: &[String], keys: &[OrderKey]) {
-    rows.sort_by(|a, b| {
-        for key in keys {
-            let ba = row_binding(a, variables);
-            let bb = row_binding(b, variables);
-            let va = eval_expr(&key.expr, &ba).ok();
-            let vb = eval_expr(&key.expr, &bb).ok();
-            let ord = match (va, vb) {
-                (Some(x), Some(y)) => {
-                    compare_terms(&x, &y).unwrap_or_else(|| x.to_string().cmp(&y.to_string()))
-                }
-                (None, Some(_)) => std::cmp::Ordering::Less,
-                (Some(_), None) => std::cmp::Ordering::Greater,
-                (None, None) => std::cmp::Ordering::Equal,
-            };
-            let ord = if key.descending { ord.reverse() } else { ord };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
+/// ORDER BY: rows are permuted by [`order_permutation`].
+fn sort_rows(rows: &mut Vec<Row>, variables: &[String], keys: &[OrderKey]) {
+    let order = order_permutation(rows, variables, keys, &mut |e, b| eval_expr(e, b).ok());
+    let mut taken: Vec<Option<Row>> = std::mem::take(rows).into_iter().map(Some).collect();
+    rows.extend(
+        order
+            .into_iter()
+            .map(|i| taken[i].take().expect("a permutation")),
+    );
+}
+
+/// The stable ORDER BY permutation of `rows`: each row's key vector is
+/// evaluated once through `eval` (rows × keys calls), then the row
+/// indices are sorted over the vectors.
+fn order_permutation(
+    rows: &[Row],
+    variables: &[String],
+    keys: &[OrderKey],
+    eval: &mut dyn FnMut(&Expression, &Binding) -> Option<Term>,
+) -> Vec<usize> {
+    let vectors: Vec<Vec<Option<Term>>> = rows
+        .iter()
+        .map(|row| {
+            let b = row_binding(row, variables);
+            keys.iter().map(|key| eval(&key.expr, &b)).collect()
+        })
+        .collect();
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    order.sort_by(|&a, &b| compare_order_keys(&vectors[a], &vectors[b], keys));
+    order
+}
+
+/// Compare two evaluated key vectors: unbound (or erroring) keys sort
+/// first, incomparable terms by their printed form, DESC keys reversed.
+fn compare_order_keys(
+    a: &[Option<Term>],
+    b: &[Option<Term>],
+    keys: &[OrderKey],
+) -> std::cmp::Ordering {
+    for ((va, vb), key) in a.iter().zip(b).zip(keys) {
+        let ord = match (va, vb) {
+            (Some(x), Some(y)) => {
+                compare_terms(x, y).unwrap_or_else(|| x.to_string().cmp(&y.to_string()))
             }
+            (None, Some(_)) => std::cmp::Ordering::Less,
+            (Some(_), None) => std::cmp::Ordering::Greater,
+            (None, None) => std::cmp::Ordering::Equal,
+        };
+        let ord = if key.descending { ord.reverse() } else { ord };
+        if ord != std::cmp::Ordering::Equal {
+            return ord;
         }
-        std::cmp::Ordering::Equal
-    });
+    }
+    std::cmp::Ordering::Equal
 }
 
 fn row_binding(row: &Row, variables: &[String]) -> Binding {
@@ -3257,6 +3400,100 @@ mod tests {
                 applab_geo::Polygon::rect(min_x, min_y, max_x, max_y),
             ));
             assert_eq!(rect_wkt(&e), via_writer);
+        }
+    }
+
+    /// The per-comparison ORDER BY sort the key-vector sort replaced: it
+    /// rebuilds both bindings and re-evaluates every key on every
+    /// comparison. Kept as the oracle for [`order_permutation`].
+    fn sort_rows_per_comparison(rows: &mut [Row], variables: &[String], keys: &[OrderKey]) {
+        rows.sort_by(|a, b| {
+            for key in keys {
+                let va = eval_expr(&key.expr, &row_binding(a, variables)).ok();
+                let vb = eval_expr(&key.expr, &row_binding(b, variables)).ok();
+                let ord = match (va, vb) {
+                    (Some(x), Some(y)) => {
+                        compare_terms(&x, &y).unwrap_or_else(|| x.to_string().cmp(&y.to_string()))
+                    }
+                    (None, Some(_)) => std::cmp::Ordering::Less,
+                    (Some(_), None) => std::cmp::Ordering::Greater,
+                    (None, None) => std::cmp::Ordering::Equal,
+                };
+                let ord = if key.descending { ord.reverse() } else { ord };
+                if ord != std::cmp::Ordering::Equal {
+                    return ord;
+                }
+            }
+            std::cmp::Ordering::Equal
+        });
+    }
+
+    /// Sorting over key vectors evaluated once per row gives exactly the
+    /// per-comparison sort's permutation — ties (kept in input order),
+    /// unbound and erroring keys, mixed term kinds, DESC and multi-key
+    /// orders — with rows × keys key evaluations.
+    #[test]
+    fn order_by_evaluates_each_key_once_per_row() {
+        let variables: Vec<String> = ["id", "k", "m"].map(String::from).to_vec();
+        let k_values: Vec<Option<Term>> = vec![
+            Some(Literal::integer(3).into()),
+            None,
+            Some(Literal::double(1.0).into()),
+            Some(Literal::string("pear").into()),
+            Some(Literal::integer(1).into()),
+            Some(Term::named("http://ex.org/b")),
+            Some(Literal::lang("pear", "en").into()),
+            None,
+            Some(Term::Blank(applab_rdf::BlankNode::new("n1"))),
+            Some(Literal::integer(3).into()),
+            Some(Literal::string("apple").into()),
+            Some(Term::named("http://ex.org/a")),
+            Some(Literal::double(-2.5).into()),
+        ];
+        let rows: Vec<Row> = k_values
+            .into_iter()
+            .enumerate()
+            .map(|(i, k)| Row {
+                values: vec![
+                    Some(Literal::integer(i as i64).into()),
+                    k,
+                    (i % 3 != 2).then(|| Literal::integer((i % 4) as i64).into()),
+                ],
+            })
+            .collect();
+        let key = |v: &str, descending: bool| OrderKey {
+            expr: Expression::Var(v.into()),
+            descending,
+        };
+        let k_plus_one = OrderKey {
+            expr: Expression::Add(
+                Box::new(Expression::Var("k".into())),
+                Box::new(Expression::Constant(Literal::integer(1).into())),
+            ),
+            descending: true,
+        };
+        let orders: Vec<Vec<OrderKey>> = vec![
+            vec![key("k", false)],
+            vec![key("k", true)],
+            vec![key("m", false), key("k", true)],
+            vec![key("m", true), k_plus_one.clone(), key("k", false)],
+            vec![k_plus_one],
+            vec![key("unknown", false)],
+        ];
+        for keys in &orders {
+            let mut expected = rows.clone();
+            sort_rows_per_comparison(&mut expected, &variables, keys);
+            let mut calls = 0usize;
+            let order = order_permutation(&rows, &variables, keys, &mut |e, b| {
+                calls += 1;
+                eval_expr(e, b).ok()
+            });
+            assert_eq!(calls, rows.len() * keys.len(), "{keys:?}");
+            let got: Vec<Row> = order.iter().map(|&i| rows[i].clone()).collect();
+            assert_eq!(got, expected, "{keys:?}");
+            let mut sorted = rows.clone();
+            sort_rows(&mut sorted, &variables, keys);
+            assert_eq!(sorted, expected, "{keys:?}");
         }
     }
 }

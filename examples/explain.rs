@@ -10,11 +10,15 @@
 //! `query_explained` on both backends. For each query it prints the
 //! per-stage span tree — parse/scan/join/filter/project timings with
 //! build/probe cardinalities — and asserts the two backends agree on the
-//! row counts. Ends with the Prometheus rendering of the metrics the run
-//! accumulated.
+//! row counts. On the spatial-join class it also asserts, on both backends,
+//! that the parks and the green areas met in a `kind=spatial` join and
+//! that the FILTER saw only its envelope candidates. Ends with the
+//! Prometheus rendering of the metrics the run accumulated.
 
 use applab_bench::geographica_queries;
-use copernicus_app_lab::core::{MaterializedWorkflow, QueryEndpoint, VirtualWorkflowBuilder};
+use copernicus_app_lab::core::{
+    Explain, MaterializedWorkflow, QueryEndpoint, VirtualWorkflowBuilder,
+};
 use copernicus_app_lab::data::{mappings, ParisFixture};
 use copernicus_app_lab::sparql::{EvalOptions, QueryResults};
 
@@ -23,6 +27,29 @@ fn rows(r: &QueryResults) -> usize {
         QueryResults::Solutions { rows, .. } => rows.len(),
         _ => 0,
     }
+}
+
+/// The parks and the green areas are two components linked only by the
+/// FILTER: they must meet in a spatial join, and the FILTER must see its
+/// envelope candidates, not the cross product.
+fn assert_spatial_join(backend: &str, explain: &Explain) {
+    let mut joins = Vec::new();
+    explain.profile.find_all("join", &mut joins);
+    let join = joins
+        .iter()
+        .find(|j| j.field("kind").is_some_and(|k| k.to_string() == "spatial"))
+        .unwrap_or_else(|| panic!("{backend}: no spatial join\n{}", explain.report()));
+    let count = |k: &str| {
+        join.field(k)
+            .and_then(|v| v.as_u64())
+            .unwrap_or_else(|| panic!("{backend}: the spatial join has no {k}="))
+    };
+    let (probe, build, candidates) = (count("probe"), count("build"), count("candidates"));
+    assert_eq!(explain.stats.filter_rows_in, candidates, "{backend}");
+    assert!(
+        candidates < probe * build,
+        "{backend}: {candidates} candidates of {probe} x {build}"
+    );
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -67,6 +94,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             rows(&obda.results),
             "{name}: store and obda backends disagree"
         );
+        if name == "Join_Parks_LandCover" {
+            for (backend, explain) in [("store", &store), ("obda", &obda)] {
+                assert_spatial_join(backend, explain);
+            }
+        }
         println!(
             "\n=== {name} ({} rows) ===\n--- store ({:.3} ms) ---\n{}--- obda ({:.3} ms) ---\n{}",
             rows(&store.results),

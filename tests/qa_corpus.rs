@@ -9,7 +9,7 @@
 //! move the artifact into `qa/corpus/` once the underlying bug is fixed.
 
 use applab_qa::{load_dir, CorpusCase, DatasetSpec, Harness, Verdict};
-use copernicus_app_lab::sparql::EvalOptions;
+use copernicus_app_lab::sparql::{evaluate_with, parse_query, EvalOptions};
 use std::path::Path;
 
 fn corpus_dir() -> std::path::PathBuf {
@@ -183,6 +183,83 @@ fn component_pins_are_non_vacuous() {
         forward_fetch[0] < reversed_fetch[0],
         "the park envelope must narrow the fetch: {forward_fetch:?} vs {reversed_fetch:?}"
     );
+}
+
+/// The spatial-join pins only pin something if the store pipeline and the
+/// virtual workflow both pair (or, for the one-component link, refuse to
+/// pair) the linked parts as each note says, with rows to compare.
+#[test]
+fn spatial_join_pins_are_non_vacuous() {
+    let cases = load_dir(&corpus_dir()).expect("corpus loads");
+    let pins: Vec<&CorpusCase> = cases
+        .iter()
+        .map(|(_, c)| c)
+        .filter(|c| c.name.starts_with("spatial_join_"))
+        .collect();
+    assert_eq!(pins.len(), 5, "the spatial-join pins are missing");
+    for case in pins {
+        let h = Harness::new(case.dataset.clone()).expect("dataset builds");
+        let query = parse_query(&case.query).expect("pinned query parses");
+        let (store_results, store_profile) = copernicus_app_lab::obs::profile("query", |_| {
+            evaluate_with(&h.engines.store, &query, &EvalOptions::sequential())
+        });
+        let vw = h
+            .engines
+            .vw
+            .query_explained_with(&case.query, &EvalOptions::sequential())
+            .unwrap_or_else(|e| panic!("{}: {e}", case.name));
+        let store_results = store_results.unwrap_or_else(|e| panic!("{}: {e}", case.name));
+        for (engine, profile, results) in [
+            ("store", &store_profile, &store_results),
+            ("virtual", &vw.profile, &vw.results),
+        ] {
+            let mut joins = Vec::new();
+            profile.find_all("join", &mut joins);
+            // (probe, build) of every spatial join.
+            let spatial: Vec<(u64, u64)> = joins
+                .iter()
+                .filter(|j| j.field("kind").is_some_and(|k| k.to_string() == "spatial"))
+                .map(|j| {
+                    let n = |k: &str| j.field(k).and_then(|v| v.as_u64()).unwrap_or(0);
+                    (n("probe"), n("build"))
+                })
+                .collect();
+            let context = format!("{} on {engine}: {spatial:?}", case.name);
+            assert!(!results.is_empty(), "{context}: no rows");
+            match case.name.as_str() {
+                "spatial_join_link_within_one_component" => {
+                    assert!(spatial.is_empty(), "{context}")
+                }
+                // Every triple binds ?x once: the non-WKT objects are in
+                // the join input.
+                "spatial_join_link_to_a_non_wkt_literal" => {
+                    assert_eq!(spatial, [(1, h.engines.triples as u64)], "{context}")
+                }
+                // The fold pairs District 2 with the parks before the
+                // unlinked units can multiply it.
+                "spatial_join_unlinked_component_in_between" => {
+                    assert_eq!(spatial.len(), 1, "{context}");
+                    assert_eq!(spatial[0].0, 1, "{context}");
+                }
+                "spatial_join_values_repeat_a_row" => {
+                    assert_eq!(spatial.len(), 1, "{context}");
+                    let applab_qa::Canon::Solutions { rows, .. } = applab_qa::canonicalize(results)
+                    else {
+                        panic!("{context}: solutions expected");
+                    };
+                    let district_1 = rows
+                        .iter()
+                        .filter(|r| r[0].as_deref().is_some_and(|n| n.contains("District 1")))
+                        .count();
+                    let mut distinct = rows.clone();
+                    distinct.dedup();
+                    assert!(district_1 > 0, "{context}: no District 1 answer");
+                    assert_eq!(rows.len() - distinct.len(), district_1 / 2, "{context}");
+                }
+                _ => assert_eq!(spatial.len(), 1, "{context}"),
+            }
+        }
+    }
 }
 
 fn find_case<'a>(cases: &'a [(std::path::PathBuf, CorpusCase)], name: &str) -> &'a CorpusCase {
