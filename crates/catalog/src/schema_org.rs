@@ -220,16 +220,7 @@ impl EoDataset {
 
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    applab_obs::json::push_string(&mut out, s);
     out
 }
 
@@ -270,7 +261,7 @@ mod tests {
     fn json_ld_is_valid_json_with_eo_fields() {
         let ds = corine_annotation();
         let doc = ds.to_json_ld();
-        let parsed = applab_geotriples::json::parse(&doc).expect("valid JSON");
+        let parsed = applab_obs::json::parse(&doc).expect("valid JSON");
         assert_eq!(
             parsed.get("@context").and_then(|v| v.as_str()),
             Some("https://schema.org/")
@@ -324,7 +315,7 @@ mod tests {
             name: "D".into(),
             ..EoDataset::default()
         };
-        assert!(applab_geotriples::json::parse(&ds.to_json_ld()).is_ok());
+        assert!(applab_obs::json::parse(&ds.to_json_ld()).is_ok());
         assert!(ds.to_graph().len() >= 3);
     }
 }

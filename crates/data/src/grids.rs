@@ -47,14 +47,7 @@ impl GridSpec {
 }
 
 fn month_of(t: i64) -> u32 {
-    // Proleptic Gregorian month (same algorithm family as elsewhere).
-    let z = t.div_euclid(86_400) + 719_468;
-    let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
-    let doe = z - era * 146_097;
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    (if mp < 10 { mp + 3 } else { mp - 9 }) as u32
+    applab_array::time::civil_from_days(t.div_euclid(86_400)).1
 }
 
 /// Gaussian sample via Box–Muller (rand's distributions module is not part

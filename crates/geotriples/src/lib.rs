@@ -11,12 +11,12 @@
 //!   document format of Listing 2, restricted to its transformation parts);
 //! * [`processor`] — the mapping processor, sequential or multi-core (the
 //!   paper's Hadoop deployment of \[22\] becomes a thread pool; bench B5
-//!   measures its scaling);
-//! * [`json`] — a minimal JSON parser (no JSON crate in the offline
-//!   dependency set).
+//!   measures its scaling).
+//!
+//! GeoJSON is read with the workspace's one JSON parser,
+//! `applab_obs::json`.
 #![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
 
-pub mod json;
 pub mod mapping;
 pub mod processor;
 pub mod source;

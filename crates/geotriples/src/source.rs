@@ -3,8 +3,8 @@
 //! All readers produce the same row model so the mapping processor is
 //! format-agnostic, mirroring GeoTriples' input abstraction.
 
-use crate::json::{self, Json};
 use applab_geo::{parse_wkt, write_wkt, Coord, Geometry, LineString, Polygon};
+use applab_obs::json::{self, Value as Json};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -195,7 +195,7 @@ pub fn read_geojson(name: &str, text: &str) -> Result<TabularSource, SourceError
                     match v {
                         Json::Null => Value::Null,
                         Json::Bool(b) => Value::Bool(*b),
-                        Json::Number(n) => Value::Number(*n),
+                        Json::Number(_) => v.as_f64().map_or(Value::Null, Value::Number),
                         Json::String(s) => Value::Text(s.clone()),
                         other => Value::Text(json::write(other)),
                     },
@@ -502,6 +502,29 @@ mod tests {
         let nogeom =
             r#"{"type":"FeatureCollection","features":[{"type":"Feature","properties":{}}]}"#;
         assert!(read_geojson("x", nogeom).is_err());
+    }
+
+    #[test]
+    fn geojson_strings_surrogates_and_nesting() {
+        let feature = |props: &str| {
+            format!(
+                r#"{{"type":"FeatureCollection","features":[{{"type":"Feature",
+                "geometry":{{"type":"Point","coordinates":[0,0]}},"properties":{props}}}]}}"#
+            )
+        };
+        let src = read_geojson("x", &feature(r#"{"name":"\ud83d\ude00"}"#)).unwrap();
+        assert_eq!(src.rows[0]["name"], Value::Text("😀".into()));
+        assert!(read_geojson("x", &feature(r#"{"name":"\ud83d"}"#)).is_err());
+        // Nested values keep their members in document order and their
+        // numbers as written.
+        let src = read_geojson("x", &feature(r#"{"tags":{"b":1.50,"a":[1e3]}}"#)).unwrap();
+        assert_eq!(
+            src.rows[0]["tags"],
+            Value::Text(r#"{"b":1.50,"a":[1e3]}"#.into())
+        );
+        // A million open brackets is a typed error, not a stack overflow.
+        let err = read_geojson("x", &"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.0.contains("nesting too deep"), "{err}");
     }
 
     #[test]

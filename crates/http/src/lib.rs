@@ -62,7 +62,7 @@ mod server;
 pub use chaos::{ChaosListener, ChaosStream, SocketChaos};
 pub use request::{Method, Request, RequestError};
 pub use response::ChunkedWriter;
-pub use server::HttpServer;
+pub use server::{error_body, HttpServer};
 
 use std::time::Duration;
 

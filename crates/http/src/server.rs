@@ -827,35 +827,16 @@ fn status_label(status: u16) -> &'static str {
 
 /// The typed JSON error body:
 /// `{"error":{"code":"parse","status":400,"message":"..."}}`.
-pub(crate) fn error_body(code: &str, status: u16, message: &str) -> String {
+pub fn error_body(code: &str, status: u16, message: &str) -> String {
     let mut out = String::with_capacity(64 + message.len());
     out.push_str("{\"error\":{\"code\":");
-    push_json_string(&mut out, code);
+    applab_obs::json::push_string(&mut out, code);
     out.push_str(",\"status\":");
     out.push_str(&status.to_string());
     out.push_str(",\"message\":");
-    push_json_string(&mut out, message);
+    applab_obs::json::push_string(&mut out, message);
     out.push_str("}}");
     out
-}
-
-fn push_json_string(out: &mut String, s: &str) {
-    use std::fmt::Write;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

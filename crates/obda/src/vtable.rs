@@ -23,6 +23,7 @@ use applab_dap::clock::Clock;
 use applab_dap::{Constraint, DapClient, DapError};
 use applab_geo::Envelope;
 use applab_geotriples::{Row, Value};
+use applab_rdf::datetime::format_datetime;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -351,31 +352,6 @@ impl VirtualTable for OpendapTable {
     fn scan(&self, pushdown: &Pushdown) -> Result<Vec<Row>, ObdaError> {
         Ok(self.grid()?.scan(&self.variable, pushdown))
     }
-}
-
-/// `xsd:dateTime` formatting (same algorithm as `applab-rdf::datetime`).
-fn format_datetime(t: i64) -> String {
-    let days = t.div_euclid(86_400);
-    let secs = t.rem_euclid(86_400);
-    let z = days + 719_468;
-    let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
-    let doe = z - era * 146_097;
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = if m <= 2 { y + 1 } else { y };
-    format!(
-        "{:04}-{:02}-{:02}T{:02}:{:02}:{:02}Z",
-        y,
-        m,
-        d,
-        secs / 3600,
-        (secs % 3600) / 60,
-        secs % 60
-    )
 }
 
 /// A registry of named virtual tables.

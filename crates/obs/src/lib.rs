@@ -32,6 +32,10 @@
 //!   per served query (sampled, bounded, never blocking the query
 //!   path) plus an unsampled in-memory ring of the last N records for
 //!   postmortem dumps from the chaos/stress suites.
+//! * **shared substrate** — the workspace's one JSON escaper, parser and
+//!   writer ([`json`]) and its one seeded mixer ([`splitmix64`]), which
+//!   every replayable sequence (chaos schedules, QA case seeds, query-log
+//!   sampling, the planner's Bloom probes) derives from.
 //!
 //! Hot-path call sites use the [`counter!`]/[`gauge!`]/[`histogram!`]
 //! macros, which cache the registry handle in a local static so steady
@@ -40,6 +44,7 @@
 
 pub mod deadline;
 pub mod degrade;
+pub mod json;
 pub mod metrics;
 pub mod querylog;
 pub mod querystats;
@@ -56,6 +61,22 @@ pub use trace::{
     child_of, current, recent, span, subscribe, unsubscribe, Collector, RingBuffer, Span,
     SpanContext, SpanRecord, StderrWriter, Subscriber, Value,
 };
+
+/// The SplitMix64 state increment: 2^64 divided by the golden ratio,
+/// rounded to odd.
+pub const SPLITMIX64_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64 (Steele, Lea & Flood 2014): the output for generator state
+/// `x`. A stream seeded with `s` is `splitmix64(s)`, `splitmix64(s + γ)`,
+/// `splitmix64(s + 2γ)`, … with γ = [`SPLITMIX64_GAMMA`]; on its own it is
+/// a fast, well-mixed 64-bit hash. Every output is part of some replay
+/// contract, so it must never change.
+pub const fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(SPLITMIX64_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// A `&'static Counter` from the global registry, resolved once per call
 /// site: `obs::counter!("applab_store_scans_total").inc()`.
@@ -88,4 +109,21 @@ macro_rules! histogram {
             ::std::sync::OnceLock::new();
         &**HANDLE.get_or_init(|| $crate::global().histogram($name, $bounds))
     }};
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn splitmix64_matches_the_reference_stream() {
+        // The reference generator seeded at 0 (Vigna's splitmix64.c).
+        let stream: Vec<u64> = (0..3)
+            .map(|i| splitmix64(SPLITMIX64_GAMMA.wrapping_mul(i)))
+            .collect();
+        assert_eq!(
+            stream,
+            [0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f]
+        );
+    }
 }

@@ -525,7 +525,10 @@ fn push_entry(section: &mut String, key: &str, value: &str) {
     if !section.is_empty() {
         section.push(',');
     }
-    section.push_str(&format!("\n    \"{}\": {value}", escape_json(key)));
+    section.push_str("\n    ");
+    crate::json::push_string(section, key);
+    section.push_str(": ");
+    section.push_str(value);
 }
 
 /// `name{k="v",...}` with labels sorted by key; bare `name` without labels.
@@ -568,20 +571,6 @@ fn format_f64(v: f64) -> String {
     } else {
         format!("{v}")
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The process-global registry. Everything instrumented in the applab

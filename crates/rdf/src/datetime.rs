@@ -3,36 +3,14 @@
 //! The App Lab data model needs exactly one temporal capability: totally
 //! ordered timestamps that round-trip through the lexical forms found in
 //! Copernicus metadata (`2017-06-15T00:00:00Z`). We represent instants as
-//! seconds since the Unix epoch (UTC) and implement the proleptic-Gregorian
-//! conversions directly (Howard Hinnant's days-from-civil algorithm).
+//! seconds since the Unix epoch (UTC); the proleptic-Gregorian conversions
+//! are the workspace's one calendar in `applab_array::time`, re-exported
+//! here.
 
 /// Seconds since 1970-01-01T00:00:00Z.
 pub type EpochSeconds = i64;
 
-/// Days since 1970-01-01 for a proleptic Gregorian date.
-pub fn days_from_civil(year: i64, month: u32, day: u32) -> i64 {
-    let y = if month <= 2 { year - 1 } else { year };
-    let era = if y >= 0 { y } else { y - 399 } / 400;
-    let yoe = y - era * 400; // [0, 399]
-    let mp = (month as i64 + 9) % 12; // March=0 ... February=11
-    let doy = (153 * mp + 2) / 5 + day as i64 - 1; // [0, 365]
-    let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy; // [0, 146096]
-    era * 146097 + doe - 719468
-}
-
-/// Inverse of [`days_from_civil`].
-pub fn civil_from_days(z: i64) -> (i64, u32, u32) {
-    let z = z + 719468;
-    let era = if z >= 0 { z } else { z - 146096 } / 146097;
-    let doe = z - era * 146097; // [0, 146096]
-    let yoe = (doe - doe / 1460 + doe / 36524 - doe / 146096) / 365; // [0, 399]
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100); // [0, 365]
-    let mp = (5 * doy + 2) / 153; // [0, 11]
-    let d = (doy - (153 * mp + 2) / 5 + 1) as u32; // [1, 31]
-    let m = if mp < 10 { mp + 3 } else { mp - 9 } as u32; // [1, 12]
-    (if m <= 2 { y + 1 } else { y }, m, d)
-}
+pub use applab_array::time::{civil_from_days, days_from_civil};
 
 /// Build an epoch timestamp from calendar components (UTC).
 pub fn timestamp(
@@ -203,29 +181,5 @@ mod tests {
         for t in [0i64, 1_497_484_800, -86_400, 4_102_444_800] {
             assert_eq!(parse_datetime(&format_datetime(t)).unwrap(), t);
         }
-    }
-
-    #[test]
-    fn civil_roundtrip_sweep() {
-        // Every 97th day over ±200 years.
-        let mut day = days_from_civil(1820, 1, 1);
-        let end = days_from_civil(2220, 1, 1);
-        while day < end {
-            let (y, m, d) = civil_from_days(day);
-            assert_eq!(days_from_civil(y, m, d), day);
-            day += 97;
-        }
-    }
-
-    #[test]
-    fn leap_years() {
-        assert_eq!(
-            days_from_civil(2000, 2, 29) + 1,
-            days_from_civil(2000, 3, 1)
-        );
-        assert_eq!(
-            days_from_civil(1900, 2, 28) + 1,
-            days_from_civil(1900, 3, 1) // 1900 is not a leap year
-        );
     }
 }

@@ -5,6 +5,7 @@
 //! tendency over a region ("city-average"), and anomalies against a
 //! long-term mean.
 
+use applab_array::time::civil_from_days;
 use applab_array::NdArray;
 
 /// A time series of (epoch seconds, value) samples, time-ordered.
@@ -119,21 +120,6 @@ pub fn resample_nearest(data: &NdArray, rows: usize, cols: usize) -> NdArray {
         }
     }
     out
-}
-
-// Proleptic Gregorian conversion (same as applab-rdf::datetime; this crate
-// does not depend on the RDF model).
-fn civil_from_days(z: i64) -> (i64, u32, u32) {
-    let z = z + 719_468;
-    let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
-    let doe = z - era * 146_097;
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = (doy - (153 * mp + 2) / 5 + 1) as u32;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 } as u32;
-    (if m <= 2 { y + 1 } else { y }, m, d)
 }
 
 #[cfg(test)]

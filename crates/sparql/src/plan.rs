@@ -25,6 +25,7 @@
 
 use crate::algebra::{GraphPattern, TermPattern, TriplePattern};
 use applab_geo::Envelope;
+use applab_obs::splitmix64;
 use std::collections::{HashMap, HashSet};
 
 /// Per-predicate cardinalities collected at seal time.
@@ -460,14 +461,6 @@ fn walk(
     }
 }
 
-const fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// A zero-dependency blocked Bloom filter over term ids (~10 bits/key,
 /// two probes → false-positive rate around 3%, bounded <5% by test).
 #[derive(Debug, Clone)]
@@ -736,6 +729,21 @@ mod tests {
         }
         let rate = false_positives as f64 / trials as f64;
         assert!(rate < 0.05, "false-positive rate {rate} ≥ 5%");
+    }
+
+    /// Probe positions are part of the plan's replay behaviour; these
+    /// were captured before the Bloom filter moved to the shared mixer.
+    #[test]
+    fn bloom_probe_positions_are_pinned() {
+        let bloom = Bloom::new(100);
+        let probes: Vec<(u64, u64)> = [0, 1, 42, 1 << 40, u64::MAX]
+            .into_iter()
+            .map(|id| bloom.probes(id))
+            .collect();
+        assert_eq!(
+            probes,
+            [(431, 33), (193, 260), (661, 612), (905, 265), (32, 70)]
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Query results and their serializations.
 
-use applab_rdf::{vocab, Graph, Term};
+use applab_obs::json::{self, Value};
+use applab_rdf::{vocab, BlankNode, Graph, Literal, NamedNode, Term};
 
 /// One solution row, aligned with the result's variable list.
 #[derive(Debug, Clone, PartialEq)]
@@ -287,7 +288,7 @@ impl QueryResults {
     /// reconstructed). Binding objects omit unbound variables; they come
     /// back as `None`. Keys not defined by the format are rejected.
     pub fn from_json(text: &str) -> Result<QueryResults, JsonParseError> {
-        json::parse_results(text)
+        parse_results(text)
     }
 
     /// Serialize SELECT solutions as TSV with full term syntax.
@@ -331,318 +332,71 @@ impl std::fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
-/// A hand-rolled parser for the results JSON subset `to_json` emits. The
-/// workspace has no JSON dependency; the format is small enough that a
-/// recursive-descent reader over the generic JSON grammar is ~150 lines.
-mod json {
-    use super::{JsonParseError, QueryResults, Row};
-    use applab_rdf::{BlankNode, Literal, NamedNode, Term};
-    use std::collections::BTreeMap;
-
-    /// Generic JSON value (object keys keep insertion irrelevant — the
-    /// results format never relies on duplicate or ordered keys).
-    enum Value {
-        Null,
-        Bool(bool),
-        /// Numbers never occur in the results format; parsed and discarded
-        /// so structurally valid JSON still gets a shape-level error.
-        Number,
-        String(String),
-        Array(Vec<Value>),
-        Object(BTreeMap<String, Value>),
-    }
-
-    struct Reader<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Reader<'a> {
-        fn err<T>(&self, msg: impl Into<String>) -> Result<T, JsonParseError> {
-            Err(JsonParseError(format!(
-                "{} at byte {}",
-                msg.into(),
-                self.pos
-            )))
-        }
-
-        fn skip_ws(&mut self) {
-            while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn eat(&mut self, c: u8) -> Result<(), JsonParseError> {
-            self.skip_ws();
-            if self.bytes.get(self.pos) == Some(&c) {
-                self.pos += 1;
-                Ok(())
+fn term(binding: &Value) -> Result<Term, JsonParseError> {
+    let get_str = |key: &str| binding.get(key).and_then(Value::as_str);
+    let value = get_str("value")
+        .ok_or_else(|| JsonParseError("binding without string \"value\"".into()))?;
+    match get_str("type") {
+        Some("uri") => Ok(Term::Named(NamedNode::new(value))),
+        Some("bnode") => Ok(Term::Blank(BlankNode::new(value))),
+        Some("literal") => {
+            if let Some(lang) = get_str("xml:lang") {
+                Ok(Literal::lang(value, lang).into())
+            } else if let Some(dt) = get_str("datatype") {
+                Ok(Literal::typed(value, NamedNode::new(dt)).into())
             } else {
-                self.err(format!("expected {:?}", c as char))
+                Ok(Literal::string(value).into())
             }
         }
-
-        fn peek(&mut self) -> Option<u8> {
-            self.skip_ws();
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn value(&mut self) -> Result<Value, JsonParseError> {
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(Value::String(self.string()?)),
-                Some(b't') => self.literal_word("true", Value::Bool(true)),
-                Some(b'f') => self.literal_word("false", Value::Bool(false)),
-                Some(b'n') => self.literal_word("null", Value::Null),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                _ => self.err("expected a JSON value"),
-            }
-        }
-
-        fn literal_word(&mut self, word: &str, v: Value) -> Result<Value, JsonParseError> {
-            self.skip_ws();
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                Ok(v)
-            } else {
-                self.err(format!("expected {word}"))
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, JsonParseError> {
-            self.skip_ws();
-            let start = self.pos;
-            while matches!(
-                self.bytes.get(self.pos),
-                Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-            ) {
-                self.pos += 1;
-            }
-            std::str::from_utf8(&self.bytes[start..self.pos])
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-                .map(|_| Value::Number)
-                .ok_or_else(|| JsonParseError(format!("bad number at byte {start}")))
-        }
-
-        fn string(&mut self) -> Result<String, JsonParseError> {
-            self.eat(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.bytes.get(self.pos) {
-                    None => return self.err("unterminated string"),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        match self.bytes.get(self.pos) {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'b') => out.push('\u{8}'),
-                            Some(b'f') => out.push('\u{c}'),
-                            Some(b'u') => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos + 1..self.pos + 5)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .and_then(|h| u32::from_str_radix(h, 16).ok());
-                                let Some(code) = hex else {
-                                    return self.err("bad \\u escape");
-                                };
-                                // Surrogate pairs: to_json never emits them
-                                // (it only escapes control chars), but
-                                // accept them for robustness.
-                                let c = if (0xD800..0xDC00).contains(&code) {
-                                    let low = self
-                                        .bytes
-                                        .get(self.pos + 5..self.pos + 11)
-                                        .filter(|t| t.starts_with(b"\\u"))
-                                        .and_then(|t| std::str::from_utf8(&t[2..]).ok())
-                                        .and_then(|h| u32::from_str_radix(h, 16).ok());
-                                    // The low half must itself be a low
-                                    // surrogate; anything else (BMP char,
-                                    // second high surrogate, end of input)
-                                    // leaves the high half unpaired.
-                                    let Some(low) = low.filter(|l| (0xDC00..0xE000).contains(l))
-                                    else {
-                                        return self.err("lone high surrogate");
-                                    };
-                                    self.pos += 6;
-                                    0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
-                                } else {
-                                    code
-                                };
-                                match char::from_u32(c) {
-                                    Some(c) => out.push(c),
-                                    None => return self.err("bad unicode escape"),
-                                }
-                                self.pos += 4;
-                            }
-                            _ => return self.err("bad escape"),
-                        }
-                        self.pos += 1;
-                    }
-                    Some(_) => {
-                        // Consume the whole run up to the next quote or
-                        // escape in one go; validating per character would
-                        // make large result sets quadratic to parse.
-                        let start = self.pos;
-                        while !matches!(self.bytes.get(self.pos), None | Some(b'"' | b'\\')) {
-                            self.pos += 1;
-                        }
-                        let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| JsonParseError("invalid UTF-8".into()))?;
-                        out.push_str(chunk);
-                    }
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, JsonParseError> {
-            self.eat(b'[')?;
-            let mut out = Vec::new();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Value::Array(out));
-            }
-            loop {
-                out.push(self.value()?);
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Value::Array(out));
-                    }
-                    _ => return self.err("expected ',' or ']'"),
-                }
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, JsonParseError> {
-            self.eat(b'{')?;
-            let mut out = BTreeMap::new();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Value::Object(out));
-            }
-            loop {
-                let key = self.string()?;
-                self.eat(b':')?;
-                out.insert(key, self.value()?);
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Value::Object(out));
-                    }
-                    _ => return self.err("expected ',' or '}'"),
-                }
-            }
-        }
+        other => Err(JsonParseError(format!("bad term type {other:?}"))),
     }
+}
 
-    fn term(binding: &BTreeMap<String, Value>) -> Result<Term, JsonParseError> {
-        let get_str = |key: &str| -> Option<&str> {
-            match binding.get(key) {
-                Some(Value::String(s)) => Some(s),
-                _ => None,
-            }
-        };
-        let value = get_str("value")
-            .ok_or_else(|| JsonParseError("binding without string \"value\"".into()))?;
-        match get_str("type") {
-            Some("uri") => Ok(Term::Named(NamedNode::new(value))),
-            Some("bnode") => Ok(Term::Blank(BlankNode::new(value))),
-            Some("literal") => {
-                if let Some(lang) = get_str("xml:lang") {
-                    Ok(Literal::lang(value, lang).into())
-                } else if let Some(dt) = get_str("datatype") {
-                    Ok(Literal::typed(value, NamedNode::new(dt)).into())
-                } else {
-                    Ok(Literal::string(value).into())
-                }
-            }
-            other => Err(JsonParseError(format!("bad term type {other:?}"))),
-        }
+fn parse_results(text: &str) -> Result<QueryResults, JsonParseError> {
+    let err = |msg: &str| JsonParseError(msg.to_string());
+    let doc = json::parse(text).map_err(|e| JsonParseError(e.to_string()))?;
+    if doc.as_object().is_none() {
+        return Err(err("document is not an object"));
     }
-
-    pub(super) fn parse_results(text: &str) -> Result<QueryResults, JsonParseError> {
-        let mut reader = Reader {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let top = reader.value()?;
-        reader.skip_ws();
-        if reader.pos != reader.bytes.len() {
-            return reader.err("trailing input after document");
-        }
-        let Value::Object(doc) = top else {
-            return Err(JsonParseError("document is not an object".into()));
-        };
-        if let Some(v) = doc.get("boolean") {
-            return match v {
-                Value::Bool(b) => Ok(QueryResults::Boolean(*b)),
-                _ => Err(JsonParseError("\"boolean\" is not a bool".into())),
-            };
-        }
-        let vars: Vec<String> = match doc.get("head") {
-            Some(Value::Object(head)) => match head.get("vars") {
-                Some(Value::Array(vs)) => vs
-                    .iter()
-                    .map(|v| match v {
-                        Value::String(s) => Ok(s.clone()),
-                        _ => Err(JsonParseError("head.vars entry is not a string".into())),
-                    })
-                    .collect::<Result<_, _>>()?,
-                _ => return Err(JsonParseError("head has no vars list".into())),
-            },
-            _ => return Err(JsonParseError("document has no head object".into())),
-        };
-        let bindings = match doc.get("results") {
-            Some(Value::Object(results)) => match results.get("bindings") {
-                Some(Value::Array(bs)) => bs,
-                _ => return Err(JsonParseError("results has no bindings list".into())),
-            },
-            _ => return Err(JsonParseError("document has no results object".into())),
-        };
-        let mut rows = Vec::with_capacity(bindings.len());
-        for b in bindings {
-            let Value::Object(b) = b else {
-                return Err(JsonParseError("binding is not an object".into()));
-            };
-            for key in b.keys() {
-                if !vars.iter().any(|v| v == key) {
-                    return Err(JsonParseError(format!(
-                        "binding variable {key:?} is not in head.vars"
-                    )));
-                }
+    if let Some(v) = doc.get("boolean") {
+        let b = v
+            .as_bool()
+            .ok_or_else(|| err("\"boolean\" is not a bool"))?;
+        return Ok(QueryResults::Boolean(b));
+    }
+    let list = |outer: &str, inner: &str| {
+        doc.get(outer)
+            .and_then(|v| v.get(inner))
+            .and_then(Value::as_array)
+            .ok_or_else(|| JsonParseError(format!("document has no {outer}.{inner} list")))
+    };
+    let vars = list("head", "vars")?
+        .iter()
+        .map(|v| v.as_str().map(str::to_string))
+        .collect::<Option<Vec<_>>>()
+        .ok_or_else(|| err("head.vars entry is not a string"))?;
+    let rows = list("results", "bindings")?
+        .iter()
+        .map(|b| {
+            let members = b
+                .as_object()
+                .ok_or_else(|| err("binding is not an object"))?;
+            if let Some((key, _)) = members.iter().find(|(k, _)| !vars.contains(k)) {
+                return Err(JsonParseError(format!(
+                    "binding variable {key:?} is not in head.vars"
+                )));
             }
-            let mut values = Vec::with_capacity(vars.len());
-            for v in &vars {
-                match b.get(v) {
-                    None => values.push(None),
-                    Some(Value::Object(t)) => values.push(Some(term(t)?)),
-                    Some(_) => {
-                        return Err(JsonParseError(format!(
-                            "binding for {v:?} is not an object"
-                        )))
-                    }
-                }
-            }
-            rows.push(Row { values });
-        }
-        Ok(QueryResults::Solutions {
-            variables: vars,
-            rows,
+            let values = vars
+                .iter()
+                .map(|v| b.get(v).map(term).transpose())
+                .collect::<Result<_, _>>()?;
+            Ok(Row { values })
         })
-    }
+        .collect::<Result<_, _>>()?;
+    Ok(QueryResults::Solutions {
+        variables: vars,
+        rows,
+    })
 }
 
 /// Flush threshold for [`QueryResults::write_json`]: once the internal
@@ -658,7 +412,7 @@ fn push_json_head<'a>(out: &mut String, variables: impl Iterator<Item = &'a str>
         if i > 0 {
             out.push(',');
         }
-        push_json_string(out, v);
+        json::push_string(out, v);
     }
     out.push_str("]},\"results\":{\"bindings\":[");
 }
@@ -670,7 +424,7 @@ fn push_json_binding<'a>(out: &mut String, pairs: impl Iterator<Item = (&'a str,
         if i > 0 {
             out.push(',');
         }
-        push_json_string(out, v);
+        json::push_string(out, v);
         out.push(':');
         push_json_term(out, t);
     }
@@ -682,47 +436,27 @@ fn push_json_term(out: &mut String, t: &Term) {
     match t {
         Term::Named(n) => {
             out.push_str("{\"type\":\"uri\",\"value\":");
-            push_json_string(out, n.as_str());
+            json::push_string(out, n.as_str());
             out.push('}');
         }
         Term::Blank(b) => {
             out.push_str("{\"type\":\"bnode\",\"value\":");
-            push_json_string(out, b.as_str());
+            json::push_string(out, b.as_str());
             out.push('}');
         }
         Term::Literal(l) => {
             out.push_str("{\"type\":\"literal\",\"value\":");
-            push_json_string(out, l.value());
+            json::push_string(out, l.value());
             if let Some(lang) = l.language() {
                 out.push_str(",\"xml:lang\":");
-                push_json_string(out, lang);
+                json::push_string(out, lang);
             } else if l.datatype().as_str() != vocab::xsd::STRING {
                 out.push_str(",\"datatype\":");
-                push_json_string(out, l.datatype().as_str());
+                json::push_string(out, l.datatype().as_str());
             }
             out.push('}');
         }
     }
-}
-
-/// Append a JSON string literal with the escapes RFC 8259 requires.
-fn push_json_string(out: &mut String, s: &str) {
-    use std::fmt::Write;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn csv_escape(s: &str) -> String {
@@ -736,7 +470,6 @@ fn csv_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use applab_rdf::Literal;
 
     fn sample() -> QueryResults {
         QueryResults::Solutions {
@@ -847,10 +580,10 @@ mod tests {
             ],
         };
         assert_eq!(QueryResults::from_json(&r.to_json()).unwrap(), r);
-        assert_eq!(
-            QueryResults::from_json("{\"head\":{},\"boolean\":true}").unwrap(),
-            QueryResults::Boolean(true)
-        );
+        for b in [true, false] {
+            let r = QueryResults::Boolean(b);
+            assert_eq!(QueryResults::from_json(&r.to_json()).unwrap(), r);
+        }
     }
 
     #[test]

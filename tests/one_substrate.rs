@@ -2,7 +2,9 @@
 //! the experiment bins, and nothing else that measures. These checks keep
 //! the retired bench plane from growing back: no vendored stand-in beyond
 //! the four the product uses, no root result file beyond Geographica's,
-//! and no Criterion-style `[[bench]]` target.
+//! and no Criterion-style `[[bench]]` target. They also keep the shared
+//! routines single: one SplitMix64, one civil-date conversion and one
+//! JSON string escaper in the product's source.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -67,5 +69,37 @@ fn no_manifest_declares_a_bench_target() {
             "{} declares a [[bench]] target; measure through benchmark/ instead",
             manifest.display()
         );
+    }
+}
+
+/// Appends to `hits` the files under `dir` whose text, lowercased and
+/// with `_` removed, contains `needle`.
+fn files_containing(dir: &Path, needle: &str, hits: &mut Vec<String>) {
+    for name in dir_names(dir) {
+        let path = dir.join(name);
+        if path.is_dir() {
+            files_containing(&path, needle, hits);
+        } else if fs::read_to_string(&path)
+            .is_ok_and(|text| text.to_lowercase().replace('_', "").contains(needle))
+        {
+            hits.push(path.strip_prefix(root()).unwrap().display().to_string());
+        }
+    }
+}
+
+#[test]
+fn shared_routines_are_written_once() {
+    // Needles are assembled at run time so this file does not match
+    // itself; `vendor/` and `benchmark/` are outside the product.
+    for (needle, home) in [
+        (["bf58476d", "1ce4e5b9"].concat(), "crates/obs/src/lib.rs"),
+        (["719", "468"].concat(), "crates/array/src/time.rs"),
+        (["\\\\u{", ":04x}"].concat(), "crates/obs/src/json.rs"),
+    ] {
+        let mut hits = Vec::new();
+        for dir in ["crates", "tests", "examples", "src"] {
+            files_containing(&root().join(dir), &needle, &mut hits);
+        }
+        assert_eq!(hits, [home], "{needle:?} belongs in {home} only");
     }
 }
