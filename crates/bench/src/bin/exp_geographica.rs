@@ -11,16 +11,9 @@
 //!
 //! Also reports the dictionary-encoded hash-join pipeline against the
 //! retired nested-loop reference evaluator on the store backend (the
-//! before/after of the pipeline rewrite), runs the planner-vs-written-order
-//! sweep (default / reversed / adversarial triple orders, planner on and
-//! off), and writes every median to `BENCH_geographica.json`.
-//!
-//! The sweep's floor (`--check-floors`) asserts that planned execution is
-//! no slower than the *best* written order on the wide-BGP and
-//! spatial-join classes, using the O-series estimator: median of per-pair
-//! wall ratios over back-to-back alternating runs, best of 3 attempts —
-//! pooled medians jitter several percent on a shared single-vCPU host,
-//! paired ratios do not.
+//! before/after of the pipeline rewrite), and writes every median to
+//! `BENCH_geographica.json`. `--check-floors` exits non-zero when the
+//! pipeline fails to beat the reference on a NonTopological class.
 
 use applab_bench::{geographica_queries, geographica_setup, print_table};
 use applab_sparql::{
@@ -59,116 +52,6 @@ fn median_ns(f: impl Fn() -> usize, reps: usize) -> (u128, usize) {
 
 fn ms(ns: u128) -> f64 {
     ns as f64 / 1e6
-}
-
-/// Paired-ratio speedup of `cand` over `base`: each pair runs both arms
-/// back to back (inner order alternating so slow drift cancels instead of
-/// biasing one arm), the attempt's estimate is the median of per-pair
-/// `base/cand` wall ratios, and the reported value is the best of
-/// `attempts` full attempts. Each arm call is a batch of `inner`
-/// evaluations so one sample is tens of ms and timer jitter is swamped.
-fn paired_speedup(
-    base: &dyn Fn() -> usize,
-    cand: &dyn Fn() -> usize,
-    inner: usize,
-    pairs: usize,
-    attempts: usize,
-) -> f64 {
-    let batch_ns = |f: &dyn Fn() -> usize| {
-        let start = Instant::now();
-        for _ in 0..inner {
-            std::hint::black_box(f());
-        }
-        start.elapsed().as_nanos()
-    };
-    let mut best = f64::MIN;
-    for _ in 0..attempts {
-        let mut ratios: Vec<f64> = (0..pairs)
-            .map(|i| {
-                let (base_ns, cand_ns) = if i % 2 == 0 {
-                    (batch_ns(base), batch_ns(cand))
-                } else {
-                    let c = batch_ns(cand);
-                    (batch_ns(base), c)
-                };
-                base_ns as f64 / cand_ns as f64
-            })
-            .collect();
-        ratios.sort_by(f64::total_cmp);
-        let mid = ratios.len() / 2;
-        let median = if ratios.len().is_multiple_of(2) {
-            (ratios[mid - 1] + ratios[mid]) / 2.0
-        } else {
-            ratios[mid]
-        };
-        best = best.max(median);
-    }
-    best
-}
-
-/// The planner-vs-written-order sweep classes: one wide BGP and one
-/// spatial join, each in three written triple orders that all denote the
-/// same query. `default` is the order a careful author writes (selective
-/// patterns first), `reversed` is its mechanical reversal, and
-/// `adversarial` leads with the widest scans and buries the selective
-/// constants — for the wide BGP it also opens with a cartesian pair, the
-/// worst case the metamorphic `adversarial_order` check replays.
-fn sweep_classes() -> Vec<(&'static str, Vec<(&'static str, String)>)> {
-    let probe_large = "POLYGON ((2.05 48.72, 2.55 48.72, 2.55 48.98, 2.05 48.98, 2.05 48.72))";
-    let wide = |body: &str| {
-        format!(
-            "SELECT ?a ?p WHERE {{ {body} FILTER(?p > 5000) FILTER(geof:sfWithin(?wkt, \"{probe_large}\"^^geo:wktLiteral)) }}"
-        )
-    };
-    let join = |body: &str| {
-        format!("SELECT ?park ?area WHERE {{ {body} FILTER(geof:sfIntersects(?pwkt, ?awkt)) }}")
-    };
-    vec![
-        (
-            "WideBGP_Selection",
-            vec![
-                (
-                    "default",
-                    wide("?a a ua:UrbanAtlasArea . ?a ua:hasPopulation ?p . ?a geo:hasGeometry ?g . ?g geo:asWKT ?wkt ."),
-                ),
-                (
-                    "reversed",
-                    wide("?g geo:asWKT ?wkt . ?a geo:hasGeometry ?g . ?a ua:hasPopulation ?p . ?a a ua:UrbanAtlasArea ."),
-                ),
-                (
-                    "adversarial",
-                    wide("?g geo:asWKT ?wkt . ?a ua:hasPopulation ?p . ?a a ua:UrbanAtlasArea . ?a geo:hasGeometry ?g ."),
-                ),
-            ],
-        ),
-        (
-            "SpatialJoin_Parks_LandCover",
-            vec![
-                (
-                    "default",
-                    join("?park osm:poiType osm:park . ?park geo:hasGeometry ?pg . ?pg geo:asWKT ?pwkt . ?area a clc:CorineArea . ?area clc:hasCorineValue clc:GreenUrbanAreas . ?area geo:hasGeometry ?ag . ?ag geo:asWKT ?awkt ."),
-                ),
-                (
-                    "reversed",
-                    join("?ag geo:asWKT ?awkt . ?area geo:hasGeometry ?ag . ?area clc:hasCorineValue clc:GreenUrbanAreas . ?area a clc:CorineArea . ?pg geo:asWKT ?pwkt . ?park geo:hasGeometry ?pg . ?park osm:poiType osm:park ."),
-                ),
-                (
-                    "adversarial",
-                    join("?ag geo:asWKT ?awkt . ?area geo:hasGeometry ?ag . ?pg geo:asWKT ?pwkt . ?park geo:hasGeometry ?pg . ?park osm:poiType osm:park . ?area clc:hasCorineValue clc:GreenUrbanAreas . ?area a clc:CorineArea ."),
-                ),
-            ],
-        ),
-    ]
-}
-
-struct SweepReport {
-    class: &'static str,
-    rows: usize,
-    /// (order, planner-off median, planner-on median) per written order.
-    orders: Vec<(&'static str, u128, u128)>,
-    best_written: &'static str,
-    /// Paired-ratio best-of-3: best written order vs planned execution.
-    planned_speedup_vs_best_written: f64,
 }
 
 struct QueryReport {
@@ -290,126 +173,6 @@ fn main() {
         &rows,
     );
 
-    // --- Planner vs written order (store backend) ---------------------
-    // Fewer reps than the headline table: the adversarial planner-off
-    // arms are deliberately slow, and the floor itself uses the paired
-    // estimator below, not these medians.
-    let sweep_reps = 3;
-    let planned_options = options.clone().planner(true);
-    let stats = GraphSource::stats(&setup.strabon).expect("sealed store has planner statistics");
-    let mut sweeps = Vec::new();
-    for (class, order_texts) in sweep_classes() {
-        let mut orders = Vec::new();
-        let mut class_rows = None;
-        let mut fingerprints = Vec::new();
-        let mut parsed = Vec::new();
-        for (order, text) in &order_texts {
-            let q: Query = parse_query(text).expect("static sweep query");
-            fingerprints.push(applab_sparql::plan::query_fingerprint(stats, &q.pattern));
-            parsed.push((*order, q));
-        }
-        // The plan is written-order independent: all three orderings of
-        // one class must produce the identical plan fingerprint.
-        assert!(
-            fingerprints.windows(2).all(|w| w[0] == w[1]),
-            "{class}: plan fingerprint depends on written order: {fingerprints:x?}"
-        );
-        for (order, q) in &parsed {
-            let (off_ns, rows_off) = median_ns(
-                || count(&evaluate_with(&setup.strabon, q, &options).expect("query evaluates")),
-                sweep_reps,
-            );
-            let (on_ns, rows_on) = median_ns(
-                || {
-                    count(
-                        &evaluate_with(&setup.strabon, q, &planned_options)
-                            .expect("query evaluates"),
-                    )
-                },
-                sweep_reps,
-            );
-            assert_eq!(
-                rows_off, rows_on,
-                "{class}/{order}: planner changed row count"
-            );
-            if let Some(prev) = class_rows {
-                assert_eq!(
-                    rows_off, prev,
-                    "{class}/{order}: written order changed row count"
-                );
-            }
-            class_rows = Some(rows_off);
-            orders.push((*order, off_ns, on_ns));
-        }
-        let &(best_written, best_off_ns, _) = orders
-            .iter()
-            .min_by_key(|(_, off, _)| *off)
-            .expect("sweep classes have orders");
-        // The floor estimator: best written order vs planned execution
-        // of the same text, paired ratios, best of 3 attempts. Batch
-        // each sample to >= ~15 ms so one ratio is wall-clock, not timer
-        // jitter.
-        let best_q = &parsed
-            .iter()
-            .find(|(o, _)| *o == best_written)
-            .expect("best order came from parsed")
-            .1;
-        let inner = (15_000_000 / best_off_ns.max(1)).clamp(1, 64) as usize;
-        let speedup = paired_speedup(
-            &|| count(&evaluate_with(&setup.strabon, best_q, &options).expect("query evaluates")),
-            &|| {
-                count(
-                    &evaluate_with(&setup.strabon, best_q, &planned_options)
-                        .expect("query evaluates"),
-                )
-            },
-            inner,
-            9,
-            3,
-        );
-        sweeps.push(SweepReport {
-            class,
-            rows: class_rows.unwrap_or(0),
-            orders,
-            best_written,
-            planned_speedup_vs_best_written: speedup,
-        });
-    }
-
-    let rows: Vec<Vec<String>> = sweeps
-        .iter()
-        .flat_map(|s| {
-            s.orders.iter().map(|(order, off, on)| {
-                vec![
-                    s.class.to_string(),
-                    order.to_string(),
-                    format!("{}", s.rows),
-                    format!("{:.2}", ms(*off)),
-                    format!("{:.2}", ms(*on)),
-                    format!("{:.1}x", *off as f64 / *on as f64),
-                ]
-            })
-        })
-        .collect();
-    print_table(
-        &format!("Planner vs written order (store backend, median-of-{sweep_reps}, ms)"),
-        &[
-            "class",
-            "written order",
-            "rows",
-            "planner off",
-            "planner on",
-            "planner speedup",
-        ],
-        &rows,
-    );
-    for s in &sweeps {
-        println!(
-            "{}: planned vs best written order ({}) paired speedup {:.3}x (best of 3 attempts)",
-            s.class, s.best_written, s.planned_speedup_vs_best_written
-        );
-    }
-
     // Machine-readable medians (hand-rolled JSON; no serde in the bench
     // path).
     let mut json = String::from("{\n");
@@ -440,32 +203,6 @@ fn main() {
             "    },\n"
         });
     }
-    json.push_str("  ],\n");
-    json.push_str("  \"order_sweep\": [\n");
-    for (i, s) in sweeps.iter().enumerate() {
-        json.push_str("    {\n");
-        json.push_str(&format!("      \"class\": \"{}\",\n", s.class));
-        json.push_str(&format!("      \"rows\": {},\n", s.rows));
-        for (order, off, on) in &s.orders {
-            json.push_str(&format!(
-                "      \"{order}_planner_off_median_ns\": {off},\n"
-            ));
-            json.push_str(&format!("      \"{order}_planner_on_median_ns\": {on},\n"));
-        }
-        json.push_str(&format!(
-            "      \"best_written_order\": \"{}\",\n",
-            s.best_written
-        ));
-        json.push_str(&format!(
-            "      \"planned_speedup_vs_best_written\": {:.3}\n",
-            s.planned_speedup_vs_best_written
-        ));
-        json.push_str(if i + 1 == sweeps.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
     json.push_str("  ]\n}\n");
     std::fs::write("BENCH_geographica.json", &json).expect("write BENCH_geographica.json");
     println!("\nwrote BENCH_geographica.json");
@@ -487,27 +224,6 @@ fn main() {
                 failed = true;
             } else {
                 println!("floor ok: {} at {speedup:.2}x vs reference", r.name);
-            }
-        }
-        // Planner floor: planned execution may not lose to the best
-        // written order on the wide-BGP and spatial-join classes. The
-        // target is 1.0x; the gate allows the same 5% noise budget as
-        // the O-series overhead gates, because on a shared single-vCPU
-        // host ambient load shifts whole paired-ratio attempts by a few
-        // percent in either direction.
-        for s in &sweeps {
-            let speedup = s.planned_speedup_vs_best_written;
-            if speedup < 0.95 {
-                eprintln!(
-                    "FLOOR VIOLATION: {} planned vs best written order ({}) {speedup:.3} < 0.95",
-                    s.class, s.best_written
-                );
-                failed = true;
-            } else {
-                println!(
-                    "floor ok: {} planned at {speedup:.3}x vs best written order ({}), target 1.0, budget 0.95",
-                    s.class, s.best_written
-                );
             }
         }
         if failed {

@@ -112,10 +112,10 @@ impl MaterializedWorkflow {
         self.query_explained_with(sparql, &EvalOptions::default())
     }
 
-    /// [`Self::query_explained`] with explicit evaluation options. With
-    /// the cost-based planner on, the scan spans carry the plan: the
-    /// chosen access path, the estimated row count next to the actual
-    /// one, and how many scanned rows the build-side filters pruned.
+    /// [`Self::query_explained`] with explicit evaluation options. The
+    /// scan spans carry the plan: the chosen access path, the estimated
+    /// row count next to the actual one, and how many scanned rows the
+    /// build-side filters pruned.
     pub fn query_explained_with(
         &self,
         sparql: &str,
@@ -124,9 +124,6 @@ impl MaterializedWorkflow {
         let accounting = applab_obs::querystats::Scope::begin();
         let (results, profile) = applab_obs::profile("query", |root| {
             root.record("backend", "store");
-            if options.planner {
-                root.record("planner", true);
-            }
             let q = applab_sparql::parse_query(sparql)?;
             Ok::<_, CoreError>(applab_sparql::evaluate_with(&self.store, &q, options)?)
         });

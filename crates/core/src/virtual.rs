@@ -205,10 +205,10 @@ impl VirtualWorkflow {
         self.query_explained_with(sparql, &EvalOptions::default())
     }
 
-    /// [`Self::query_explained`] with explicit evaluation options. With
-    /// the cost-based planner on, the scan spans carry the plan: the
-    /// chosen access path, the estimated row count next to the actual
-    /// one, and how many scanned rows the build-side filters pruned.
+    /// [`Self::query_explained`] with explicit evaluation options. The
+    /// scan spans carry the plan: the chosen access path, the estimated
+    /// row count next to the actual one, and how many scanned rows the
+    /// build-side filters pruned.
     pub fn query_explained_with(
         &self,
         sparql: &str,
@@ -217,9 +217,6 @@ impl VirtualWorkflow {
         let accounting = applab_obs::querystats::Scope::begin();
         let (results, profile) = applab_obs::profile("query", |root| {
             root.record("backend", "obda");
-            if options.planner {
-                root.record("planner", true);
-            }
             let q = applab_sparql::parse_query(sparql)?;
             let _ = applab_obda::take_source_fault();
             let results = applab_sparql::evaluate_with(&self.graph, &q, options);

@@ -45,19 +45,6 @@ impl Verdict {
 /// Engine labels, aligned with [`Harness::run_text`] internals.
 pub const ENGINES: [&str; 4] = ["reference", "pipeline-seq", "pipeline-par", "virtual"];
 
-/// Planner-on engine labels appended by [`Harness::run_text_planned`]:
-/// the sequential pipeline and the OBDA virtual workflow re-run with
-/// [`EvalOptions::planner`] enabled, so every differential case also
-/// proves the cost-based plan returns the written-order multiset.
-pub const PLANNED_ENGINES: [&str; 2] = ["planned-seq", "planned-virtual"];
-
-fn engine_name(idx: usize) -> &'static str {
-    ENGINES
-        .get(idx)
-        .or_else(|| PLANNED_ENGINES.get(idx - ENGINES.len()))
-        .expect("engine index")
-}
-
 /// The batch windows forced on the pipeline engines (`pipeline-seq`,
 /// `pipeline-par` in that order): deliberately tiny and coprime, so on
 /// the small generated datasets batch edges land inside every operator
@@ -123,56 +110,30 @@ impl Harness {
                 .vw
                 .query_with(text, &EvalOptions::sequential())
                 .map_err(|e| e.to_string()),
-            // Planner-on engines ([`PLANNED_ENGINES`]): same configs as
-            // pipeline-seq / virtual with the cost-based plan enabled.
-            4 => applab_sparql::evaluate_with(
-                &self.engines.store,
-                query,
-                &EvalOptions {
-                    batch_size: HARNESS_BATCH_WINDOWS[0],
-                    ..EvalOptions::sequential()
-                }
-                .planner(true),
-            )
-            .map_err(|e| e.to_string()),
-            5 => self
-                .engines
-                .vw
-                .query_with(text, &EvalOptions::sequential().planner(true))
-                .map_err(|e| e.to_string()),
             _ => unreachable!("engine index"),
         }
     }
 
-    /// Run the pipeline-seq engine only (the metamorphic checks need a
-    /// single fast engine, not the full cross-product).
-    pub fn eval_pipeline_seq(&self, text: &str) -> Result<Canon, String> {
+    /// Run one engine only, by index into [`ENGINES`] (the metamorphic
+    /// checks need a single fast engine, not the full cross-product).
+    fn eval_one(&self, idx: usize, text: &str) -> Result<Canon, String> {
         let query = applab_sparql::parse_query(text).map_err(|e| format!("parse: {e}"))?;
-        let r = self.eval_engine(1, text, &query)?;
+        let r = self.eval_engine(idx, text, &query)?;
         canon_via_json(&r)
     }
 
-    /// Run the planner-on sequential pipeline only (the adversarial-order
-    /// metamorphic check compares plans, not the full cross-product).
-    pub fn eval_planned_seq(&self, text: &str) -> Result<Canon, String> {
-        let query = applab_sparql::parse_query(text).map_err(|e| format!("parse: {e}"))?;
-        let r = self.eval_engine(4, text, &query)?;
-        canon_via_json(&r)
+    /// Run the pipeline-seq engine only.
+    pub fn eval_pipeline_seq(&self, text: &str) -> Result<Canon, String> {
+        self.eval_one(1, text)
+    }
+
+    /// Run the nested-loop reference evaluator only.
+    pub fn eval_reference(&self, text: &str) -> Result<Canon, String> {
+        self.eval_one(0, text)
     }
 
     /// Run one rendered query through all four engines and diff.
     pub fn run_text(&self, text: &str) -> Verdict {
-        self.run_engines(text, ENGINES.len())
-    }
-
-    /// Run one rendered query through all four engines *plus* the two
-    /// planner-on configurations ([`PLANNED_ENGINES`]) and diff — the
-    /// planner-equivalence differential sweep.
-    pub fn run_text_planned(&self, text: &str) -> Verdict {
-        self.run_engines(text, ENGINES.len() + PLANNED_ENGINES.len())
-    }
-
-    fn run_engines(&self, text: &str, engine_count: usize) -> Verdict {
         let query = match applab_sparql::parse_query(text) {
             Ok(q) => q,
             // All engines share the parser; a parse failure cannot
@@ -182,40 +143,32 @@ impl Harness {
         };
         let slice_mode = query.limit.is_some() || query.offset > 0;
 
-        let mut canons: Vec<(usize, Canon)> = Vec::new();
-        let mut errors: Vec<(usize, String)> = Vec::new();
-        // An index loop on purpose: idx names the engine in both arms and
-        // feeds eval_engine; iterating the label arrays would still need it.
-        for idx in 0..engine_count {
+        let mut canons: Vec<(&str, Canon)> = Vec::new();
+        let mut errors: Vec<(&str, String)> = Vec::new();
+        for (idx, name) in ENGINES.into_iter().enumerate() {
             match self.eval_engine(idx, text, &query) {
                 Ok(r) => match canon_via_json(&r) {
-                    Ok(c) => canons.push((idx, c)),
-                    Err(e) => {
-                        return Verdict::Disagree(format!("{}: {e}", engine_name(idx)));
-                    }
+                    Ok(c) => canons.push((name, c)),
+                    Err(e) => return Verdict::Disagree(format!("{name}: {e}")),
                 },
-                Err(e) => errors.push((idx, e)),
+                Err(e) => errors.push((name, e)),
             }
         }
         if canons.is_empty() {
-            let (idx, e) = &errors[0];
-            return Verdict::AgreeError(format!("{}: {e}", engine_name(*idx)));
+            let (name, e) = &errors[0];
+            return Verdict::AgreeError(format!("{name}: {e}"));
         }
         if !errors.is_empty() {
-            let (eidx, e) = &errors[0];
-            let (oidx, _) = &canons[0];
-            return Verdict::Disagree(format!(
-                "{} errored ({e}) while {} answered",
-                engine_name(*eidx),
-                engine_name(*oidx)
-            ));
+            let (ename, e) = &errors[0];
+            let (oname, _) = &canons[0];
+            return Verdict::Disagree(format!("{ename} errored ({e}) while {oname} answered"));
         }
 
         if !slice_mode {
             let (_, reference_canon) = &canons[0];
-            for (idx, c) in &canons[1..] {
+            for (name, c) in &canons[1..] {
                 if let Some(d) = diff(reference_canon, c) {
-                    return Verdict::Disagree(format!("reference vs {}: {d}", engine_name(*idx)));
+                    return Verdict::Disagree(format!("reference vs {name}: {d}"));
                 }
             }
             return Verdict::Agree;
@@ -234,11 +187,10 @@ impl Harness {
             .limit
             .unwrap_or(usize::MAX)
             .min(full.len().saturating_sub(query.offset));
-        for (idx, c) in &canons {
+        for (name, c) in &canons {
             if c.len() != expected {
                 return Verdict::Disagree(format!(
-                    "{}: slice of {} rows, expected {expected} (full {} rows, limit {:?} offset {})",
-                    engine_name(*idx),
+                    "{name}: slice of {} rows, expected {expected} (full {} rows, limit {:?} offset {})",
                     c.len(),
                     full.len(),
                     query.limit,
@@ -247,8 +199,7 @@ impl Harness {
             }
             if !is_multiset_subset(c, &full) {
                 return Verdict::Disagree(format!(
-                    "{}: slice is not contained in the unlimited reference answer",
-                    engine_name(*idx)
+                    "{name}: slice is not contained in the unlimited reference answer"
                 ));
             }
         }

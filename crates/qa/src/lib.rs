@@ -37,5 +37,5 @@ pub use canon::{canonical_term, canonicalize, diff, is_multiset_subset, Canon};
 pub use corpus::{load_dir, CorpusCase};
 pub use dataset::{check_load_paths, DatasetSpec, Engines, Table};
 pub use gen::{case_seed, generate, QueryIr};
-pub use harness::{Harness, Verdict, ENGINES, HARNESS_BATCH_WINDOWS, PLANNED_ENGINES};
+pub use harness::{Harness, Verdict, ENGINES, HARNESS_BATCH_WINDOWS};
 pub use shrink::{shrink, Shrunk};

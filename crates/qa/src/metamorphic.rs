@@ -301,7 +301,7 @@ fn adversarial_order(ir: &QueryIr) -> QueryIr {
 /// The planner must be written-order independent: the adversarial order
 /// (largest pattern first) must produce the same plan fingerprint as the
 /// original, and planned evaluation of both must return the same answer
-/// as the written-order oracle.
+/// as the nested-loop reference evaluator.
 pub fn check_adversarial_order(h: &Harness, ir: &QueryIr) -> Result<Option<String>, String> {
     if !applicable_reorder(ir) {
         return Ok(None);
@@ -325,9 +325,9 @@ pub fn check_adversarial_order(h: &Harness, ir: &QueryIr) -> Result<Option<Strin
             )));
         }
     }
-    let oracle = h.eval_pipeline_seq(&ir.render());
-    let a = h.eval_planned_seq(&ir.render());
-    let b = h.eval_planned_seq(&variant.render());
+    let oracle = h.eval_reference(&ir.render());
+    let a = h.eval_pipeline_seq(&ir.render());
+    let b = h.eval_pipeline_seq(&variant.render());
     match (oracle, a, b) {
         (Ok(o), Ok(x), Ok(y)) if o == x && x == y => Ok(None),
         (Err(_), Err(_), Err(_)) => Ok(None),

@@ -55,12 +55,12 @@ impl TriplePattern {
         }
     }
 
-    /// Variables mentioned by this pattern.
-    pub fn variables(&self) -> Vec<&str> {
+    /// Variables mentioned by this pattern, in subject, predicate, object
+    /// order.
+    pub fn variables(&self) -> impl Iterator<Item = &str> {
         [&self.subject, &self.predicate, &self.object]
             .into_iter()
             .filter_map(TermPattern::as_var)
-            .collect()
     }
 }
 
@@ -70,7 +70,11 @@ impl TriplePattern {
 /// variables) is a component of its own; sharing only a constant does not
 /// connect two patterns.
 pub fn connected_components(patterns: &[TriplePattern]) -> Vec<Vec<usize>> {
-    let vars: Vec<Vec<&str>> = patterns.iter().map(TriplePattern::variables).collect();
+    let shares = |i: usize, j: usize| {
+        patterns[i]
+            .variables()
+            .any(|v| patterns[j].variables().any(|w| w == v))
+    };
     let mut component: Vec<Option<usize>> = vec![None; patterns.len()];
     let mut out: Vec<Vec<usize>> = Vec::new();
     for start in 0..patterns.len() {
@@ -82,9 +86,9 @@ pub fn connected_components(patterns: &[TriplePattern]) -> Vec<Vec<usize>> {
         let mut members = vec![start];
         let mut queue = vec![start];
         while let Some(i) = queue.pop() {
-            for j in start + 1..patterns.len() {
-                if component[j].is_none() && vars[i].iter().any(|v| vars[j].contains(v)) {
-                    component[j] = Some(id);
+            for (j, slot) in component.iter_mut().enumerate().skip(start + 1) {
+                if slot.is_none() && shares(i, j) {
+                    *slot = Some(id);
                     members.push(j);
                     queue.push(j);
                 }
@@ -214,7 +218,7 @@ impl GraphPattern {
         match self {
             GraphPattern::Bgp(patterns) => {
                 for p in patterns {
-                    out.extend(p.variables().into_iter().map(String::from));
+                    out.extend(p.variables().map(String::from));
                 }
             }
             GraphPattern::Filter(_, inner) => inner.collect_vars(out),
@@ -308,7 +312,7 @@ mod tests {
             TermPattern::Term(Term::named("http://p")),
             TermPattern::var("o"),
         );
-        assert_eq!(p.variables(), vec!["s", "o"]);
+        assert_eq!(p.variables().collect::<Vec<_>>(), ["s", "o"]);
     }
 
     fn pat(s: &str, p: &str, o: &str) -> TriplePattern {

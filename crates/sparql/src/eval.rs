@@ -227,16 +227,6 @@ pub struct EvalOptions {
     pub batch_size: usize,
     /// The cooperative deadline / cancellation budget for this evaluation.
     pub budget: Budget,
-    /// Use the cost-based planner ([`crate::plan`]) for BGP evaluation:
-    /// joins are reordered by estimated cardinality from the source's
-    /// seal-time statistics, build/probe sides are chosen by size,
-    /// spatial/temporal access paths are taken only when the sketch says
-    /// they prune, and build-side Bloom/min-max filters drop probe rows
-    /// early. `false` (the default) keeps the written-order pipeline —
-    /// the byte-stable oracle the differential harnesses compare against.
-    /// Planned evaluation returns the same *multiset* of solutions but
-    /// may order unsorted results differently.
-    pub planner: bool,
 }
 
 impl Default for EvalOptions {
@@ -246,7 +236,6 @@ impl Default for EvalOptions {
             parallel_workers: None,
             batch_size: 1024,
             budget: Budget::unlimited(),
-            planner: false,
         }
     }
 }
@@ -274,12 +263,6 @@ impl EvalOptions {
             ..EvalOptions::default()
         }
     }
-
-    /// Toggle the cost-based planner (builder style).
-    pub fn planner(mut self, on: bool) -> Self {
-        self.planner = on;
-        self
-    }
 }
 
 /// Evaluate a query against a source with default options.
@@ -300,26 +283,25 @@ pub fn evaluate_with(
     // outlive the budget.
     let _deadline_scope = applab_obs::deadline::enter(options.budget.deadline_instant());
     let mut eval_span = applab_obs::span("sparql.evaluate");
-    if options.planner {
-        eval_span.record("planner", true);
-        // The statically chosen plan for the whole query — per-BGP spans
-        // repeat it next to their actual rows. Planning the query a
-        // second time just for the field is only worth it when something
-        // is actually tracing.
-        if eval_span.enabled() {
-            if let Some(stats) = source.stats() {
-                eval_span.record(
-                    "plan_fingerprint",
-                    format!("{:016x}", plan::query_fingerprint(stats, &query.pattern)),
-                );
-            }
-        }
+    // A source without seal-time statistics is planned over empty ones.
+    let no_stats = plan::Stats::default();
+    let stats = source.stats().unwrap_or(&no_stats);
+    // The statically chosen plan for the whole query — per-BGP spans
+    // repeat it next to their actual rows. Planning the query a second
+    // time just for the field is only worth it when something is
+    // actually tracing.
+    if eval_span.enabled() {
+        eval_span.record(
+            "plan_fingerprint",
+            format!("{:016x}", plan::query_fingerprint(stats, &query.pattern)),
+        );
     }
     let slots = Slots::new(&query.pattern);
     let width = slots.width;
     let n_real = slots.names.len();
     let mut ev = Evaluator {
         source,
+        stats,
         interner: Interner::new(source.id_access()),
         slots,
         options,
@@ -698,9 +680,9 @@ struct Constraints {
     /// envelope of its geometries becomes a spatial constraint for the
     /// other side (sideways information passing — on the OBDA path this
     /// prunes OPeNDAP grid-cell fetches before any DAP round trip).
-    /// Consumed between the components of a BGP always, and between the
-    /// steps of a planned BGP when the planner is on. Two parts of a BGP
-    /// fold linked only through one meet in [`Evaluator::spatial_join`].
+    /// Consumed between the components of a BGP and between the steps of
+    /// a planned BGP. Two parts of a BGP fold linked only through one
+    /// meet in [`Evaluator::spatial_join`].
     spatial_links: Vec<(String, String)>,
 }
 
@@ -761,6 +743,8 @@ impl<'a> GeomEntry<'a> {
 
 struct Evaluator<'a> {
     source: &'a dyn GraphSource,
+    /// The source's seal-time statistics, or empty ones.
+    stats: &'a plan::Stats,
     interner: Interner<'a>,
     slots: Slots,
     options: &'a EvalOptions,
@@ -1223,19 +1207,10 @@ impl<'a> Evaluator<'a> {
                 Cow::Owned(components[c].iter().map(|&i| patterns[i].clone()).collect())
             };
             // Sideways envelope passing: the union envelope of what is
-            // already joined across a `geof:sf*` link constrains this
-            // component's source query. The threaded input does so only
-            // for the planner.
-            let sideways = if acc.is_some() || self.options.planner {
-                let receivers: Vec<&str> = component
-                    .iter()
-                    .flat_map(TriplePattern::variables)
-                    .collect();
-                let bound = acc.as_ref().unwrap_or(&start);
-                self.sideways_spatial(constraints, bound, &receivers)
-            } else {
-                None
-            };
+            // already joined (or of the threaded input) across a `geof:sf*`
+            // link constrains this component's source query.
+            let sideways =
+                self.sideways_spatial(constraints, acc.as_ref().unwrap_or(&start), &component);
             let spatial = sideways.as_ref().unwrap_or(&constraints.spatial);
             let part = match self.source.evaluate_bgp(&component, spatial) {
                 Some(answers) => {
@@ -1244,7 +1219,7 @@ impl<'a> Evaluator<'a> {
                     let answers = self.bindings_batch(&answers);
                     self.join(start, answers)
                 }
-                None => self.eval_bgp_scans(&component, start, constraints, &mut bgp_span),
+                None => self.eval_bgp_planned(&component, start, constraints, &mut bgp_span),
             };
             let joined = match acc.take() {
                 None => part,
@@ -1378,120 +1353,30 @@ impl<'a> Evaluator<'a> {
         batch
     }
 
-    /// Pattern-at-a-time BGP evaluation: the planned path when the planner
-    /// is on and the source has statistics, else the written-order
-    /// pipeline.
-    fn eval_bgp_scans(
-        &mut self,
-        patterns: &[TriplePattern],
-        input: Batch,
-        constraints: &Constraints,
-        bgp_span: &mut applab_obs::Span,
-    ) -> Batch {
-        let width = self.slots.width;
-        // Cost-based path: statistics-ordered lazy scan/join with
-        // build-side filters. Falls through to the written-order pipeline
-        // when the source has no seal-time stats.
-        if self.options.planner {
-            let source = self.source;
-            if let Some(stats) = source.stats() {
-                return self.eval_bgp_planned(stats, patterns, input, constraints, bgp_span);
-            }
-        }
-
-        // When the input is a single row, its bindings substitute into the
-        // scans directly (the common top-of-query and Join-chain case).
-        let subst: Option<Vec<Option<u64>>> = (input.len() == 1).then(|| input.row(0));
-
-        // Scan every pattern exactly once into a match batch.
-        let mut columns: Vec<(Batch, Vec<usize>)> = Vec::with_capacity(patterns.len());
-        for (i, p) in patterns.iter().enumerate() {
-            if self.interrupted() {
-                return Batch::new(width);
-            }
-            let mut scan_span = applab_obs::span("scan");
-            scan_span.record("pattern", i);
-            let col = self.scan_column(p, subst.as_deref(), constraints);
-            scan_span.record("rows", col.0.len());
-            scan_span.record_rate("rows_per_sec", col.0.len() as u64);
-            applab_obs::querystats::scan(col.0.len() as u64);
-            drop(scan_span);
-            if col.0.is_empty() {
-                return Batch::new(width);
-            }
-            columns.push(col);
-        }
-
-        // Greedy join order: smallest batch among those sharing a bound
-        // slot (to keep joins selective), else smallest overall. Actual
-        // batch sizes replace the old static selectivity heuristic.
-        let mut bound = input.bound_slots();
-        let mut result = input;
-        while !columns.is_empty() {
-            if self.interrupted() {
-                return Batch::new(width);
-            }
-            let pick = columns
-                .iter()
-                .enumerate()
-                .filter(|(_, (_, used))| used.iter().any(|&s| bound[s]))
-                .min_by_key(|(_, (rows, _))| rows.len())
-                .map(|(i, _)| i)
-                .or_else(|| {
-                    columns
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, (rows, _))| rows.len())
-                        .map(|(i, _)| i)
-                })
-                .expect("columns is non-empty");
-            let (col_batch, used) = columns.swap_remove(pick);
-            for s in used {
-                bound[s] = true;
-            }
-            result = self.join(result, col_batch);
-            if result.is_empty() {
-                return result;
-            }
-        }
-        result
-    }
-
-    /// Cost-based BGP evaluation ([`EvalOptions::planner`] on, source has
-    /// seal-time [`plan::Stats`]): patterns are scanned lazily in the
-    /// order [`plan::order_patterns`] chooses and joined immediately, so
-    /// every scan sees the constraints (single-row substitution, sideways
-    /// envelopes, Bloom/min-max filters) the already-joined prefix
-    /// established. Produces the same solution multiset as the
-    /// written-order pipeline, possibly in a different row order.
+    /// Pattern-at-a-time evaluation of a BGP the source does not answer
+    /// whole: patterns are scanned lazily in the order
+    /// [`plan::order_patterns`] chooses from the source's seal-time
+    /// [`plan::Stats`] and joined immediately, so every scan sees the
+    /// constraints (single-row substitution, sideways envelopes,
+    /// Bloom/min-max filters) the already-joined prefix established.
     fn eval_bgp_planned(
         &mut self,
-        stats: &plan::Stats,
         patterns: &[TriplePattern],
         input: Batch,
         constraints: &Constraints,
         bgp_span: &mut applab_obs::Span,
     ) -> Batch {
         let width = self.slots.width;
-        // Variables the input batch binds (any-row semantics, matching the
-        // greedy loop's `bound_slots`).
-        let input_bound = input.bound_slots();
-        let mut bound_vars: HashSet<String> = self
-            .slots
-            .names
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| input_bound[*i])
-            .map(|(_, n)| n.clone())
-            .collect();
+        let stats = self.stats;
+        // Slots bound so far: by any input row, then by every joined step.
+        let mut bound = input.bound_slots();
         let steps = plan::order_patterns(
             stats,
             patterns,
-            &bound_vars,
+            &|v| self.slots.get(v).is_some_and(|s| bound[s]),
             &constraints.spatial,
             &constraints.temporal,
         );
-        bgp_span.record("planned", true);
         if bgp_span.enabled() {
             bgp_span.record(
                 "plan_fingerprint",
@@ -1504,7 +1389,7 @@ impl<'a> Evaluator<'a> {
             if self.interrupted() {
                 return Batch::new(width);
             }
-            let pattern = &patterns[step.pattern];
+            let pattern = step.triple;
             // Per-step constraints: sideways envelopes derived from the
             // current result, then the access-path choice — constraints
             // the sketch proves useless are stripped so the scan takes
@@ -1515,8 +1400,9 @@ impl<'a> Evaluator<'a> {
             // envelope, so restrict the (whole-result) union-envelope
             // computation to them instead of walking every link each
             // step.
-            let step_vars = pattern.variables();
-            if let Some(augmented) = self.sideways_spatial(constraints, &result, &step_vars) {
+            if let Some(augmented) =
+                self.sideways_spatial(constraints, &result, std::slice::from_ref(pattern))
+            {
                 effective.to_mut().spatial = augmented;
             }
             let access = plan::access_path(stats, pattern, &effective.spatial, &effective.temporal);
@@ -1610,8 +1496,7 @@ impl<'a> Evaluator<'a> {
             // show estimate-vs-actual per join operator.
             let d_key = pattern
                 .variables()
-                .iter()
-                .filter(|v| bound_vars.contains(**v))
+                .filter(|v| self.slots.get(v).is_some_and(|s| bound[s]))
                 .filter_map(|v| stats.distinct_at(pattern, v))
                 .fold(None, |acc: Option<f64>, d| {
                     Some(acc.map_or(d, |a| a.min(d)))
@@ -1627,8 +1512,8 @@ impl<'a> Evaluator<'a> {
                 self.join_est(col_batch, result, Some(est_out))
             };
             result_est = est_out.max(1.0);
-            for v in pattern.variables() {
-                bound_vars.insert(v.to_string());
+            for s in used {
+                bound[s] = true;
             }
             if result.is_empty() {
                 return result;
@@ -1639,8 +1524,8 @@ impl<'a> Evaluator<'a> {
 
     /// The augmented spatial-constraint map for a batch: for every
     /// spatial-join link ([`Constraints::spatial_links`]) with one side
-    /// bound by `batch` and the other side among `receivers` (the
-    /// variables the caller's next scan or source query can bind), the
+    /// bound by `batch` and the other side mentioned by `receivers` (the
+    /// patterns the caller's next scan or source query evaluates), the
     /// union envelope of that side's geometries constrains the other side.
     /// `None` when nothing was added (no links, nothing usable bound).
     /// Sound because a row whose linked variable is unbound or not a
@@ -1650,7 +1535,7 @@ impl<'a> Evaluator<'a> {
         &mut self,
         constraints: &Constraints,
         batch: &Batch,
-        receivers: &[&str],
+        receivers: &[TriplePattern],
     ) -> Option<HashMap<String, Envelope>> {
         if constraints.spatial_links.is_empty() || batch.is_empty() {
             return None;
@@ -1661,18 +1546,16 @@ impl<'a> Evaluator<'a> {
         // walk it cannot meaningfully narrow costs more than the plain
         // column scan. The check also runs mid-walk so a hopeless union
         // stops early.
-        let sketch = self.source.stats().map(|s| &s.spatial);
+        let sketch = &self.stats.spatial;
         let too_wide = |env: &Envelope| {
-            sketch.is_some_and(|sk| {
-                sk.bounds.is_some() && sk.selectivity(env) >= plan::INDEX_SELECTIVITY_CUTOFF
-            })
+            sketch.bounds.is_some() && sketch.selectivity(env) >= plan::INDEX_SELECTIVITY_CUTOFF
         };
         let mut out: Option<HashMap<String, Envelope>> = None;
         for (a, b) in &constraints.spatial_links {
             for (src, dst) in [(a, b), (b, a)] {
                 // Links pointing anywhere else are skipped before the
                 // per-row union-envelope walk.
-                if !receivers.contains(&dst.as_str()) {
+                if !receivers.iter().any(|p| p.variables().any(|v| v == dst)) {
                     continue;
                 }
                 let Some(slot) = self.slots.get(src) else {

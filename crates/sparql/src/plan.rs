@@ -3,19 +3,20 @@
 //!
 //! Sources collect a [`Stats`] sketch once, when they seal
 //! (`SpatioTemporalStore::finish_load`, `VirtualGraph::new`), and expose
-//! it through [`crate::GraphSource::stats`]. The evaluator consults the
-//! sketch when [`crate::EvalOptions::planner`] is on: BGP joins are
-//! reordered by estimated output cardinality ([`order_patterns`]),
-//! spatial/temporal index access paths are taken only when the sketch
-//! says they prune ([`access_path`]), and build-side [`IdFilter`]s
-//! (Bloom + min/max) drop probe rows before the hash join.
+//! it through [`crate::GraphSource::stats`]. Every BGP the source does not
+//! answer whole is evaluated through this plan: joins are ordered by
+//! estimated output cardinality ([`order_patterns`]), spatial/temporal
+//! index access paths are taken only when the sketch says they prune
+//! ([`access_path`]), and build-side [`IdFilter`]s (Bloom + min/max) drop
+//! probe rows before the hash join. A source without a sketch is planned
+//! over an empty [`Stats`]: every estimate ties, so the order is
+//! connected-first with the [`pattern_key`] tie-break.
 //!
 //! Everything here is an *over-approximation*: estimates steer order and
 //! access paths but never drop answers — filters are always re-applied
 //! downstream, so a wrong estimate costs time, not correctness. The
-//! written-order pipeline (planner off, the default) stays available as
-//! the oracle; `tests/planner_equivalence.rs` diffs the two across the
-//! QA corpus.
+//! nested-loop [`crate::reference`] evaluator is the oracle;
+//! `tests/planner_equivalence.rs` diffs the two across the QA corpus.
 //!
 //! Plans are summarized by a [`fingerprint`] over the chosen (pattern,
 //! access-path) sequence. Because [`order_patterns`] keys only on
@@ -220,7 +221,7 @@ impl AccessPath {
 /// Choose the access path for a pattern: the constrained index unless
 /// the sketch *proves* it would not prune (the query range covers the
 /// whole indexed extent). An unknown sketch (e.g. the OBDA structural
-/// stats carry no bounds) keeps the pushdown — the planner-off behavior.
+/// stats carry no bounds) keeps the pushdown.
 pub fn access_path(
     stats: &Stats,
     pattern: &TriplePattern,
@@ -275,11 +276,11 @@ pub fn pattern_key(p: &TriplePattern) -> String {
 
 /// One step of a planned BGP.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PlanStep {
+pub struct PlanStep<'p> {
     /// Index of the pattern in the *written* BGP.
     pub pattern: usize,
-    /// Canonical pattern text ([`pattern_key`]).
-    pub key: String,
+    /// The pattern itself.
+    pub triple: &'p TriplePattern,
     /// Chosen access path.
     pub access: AccessPath,
     /// Static cardinality estimate for the scan of this pattern.
@@ -294,58 +295,54 @@ pub struct PlanStep {
 /// candidates the smallest static estimate wins, with ties broken by
 /// canonical pattern text. Written position is never consulted, so two
 /// permutations of the same BGP produce the same step sequence.
-pub fn order_patterns(
+/// `input_bound` says which variables the input already binds.
+///
+/// This runs on every evaluation, so it allocates only the step list:
+/// the bound set is the input's plus the placed steps' variables, and a
+/// pattern's key is formatted only when its estimate ties another's.
+pub fn order_patterns<'p>(
     stats: &Stats,
-    patterns: &[TriplePattern],
-    input_bound: &HashSet<String>,
+    patterns: &'p [TriplePattern],
+    input_bound: &dyn Fn(&str) -> bool,
     spatial: &HashMap<String, Envelope>,
     temporal: &HashMap<String, (i64, i64)>,
-) -> Vec<PlanStep> {
-    // Keys and variable lists are loop-invariant; computing them once
-    // keeps the greedy rounds allocation-free (this runs on every
-    // planner-on evaluation, not just at EXPLAIN time).
-    let keys: Vec<String> = patterns.iter().map(pattern_key).collect();
-    let vars: Vec<Vec<&str>> = patterns.iter().map(|p| p.variables()).collect();
-    let mut bound: HashSet<String> = input_bound.clone();
-    let mut remaining: Vec<usize> = (0..patterns.len()).collect();
-    let mut steps = Vec::with_capacity(patterns.len());
-    while !remaining.is_empty() {
-        let connected = |i: usize| vars[i].iter().any(|v| bound.contains(*v));
-        let candidates: Vec<usize> = {
-            let c: Vec<usize> = remaining
-                .iter()
-                .copied()
-                .filter(|&i| connected(i))
-                .collect();
-            if c.is_empty() {
-                remaining.clone()
-            } else {
-                c
+) -> Vec<PlanStep<'p>> {
+    let mut steps: Vec<PlanStep<'p>> = Vec::with_capacity(patterns.len());
+    let mut keys: Vec<Option<String>> = Vec::new();
+    while steps.len() < patterns.len() {
+        let is_bound =
+            |v: &str| input_bound(v) || steps.iter().any(|s| s.triple.variables().any(|w| w == v));
+        let placed = |i: usize| steps.iter().any(|s| s.pattern == i);
+        let connected = |i: usize| patterns[i].variables().any(is_bound);
+        let any_connected = (0..patterns.len()).any(|i| !placed(i) && connected(i));
+        let mut best: Option<(usize, f64)> = None;
+        for i in (0..patterns.len()).filter(|&i| !placed(i) && (!any_connected || connected(i))) {
+            let est = stats.estimate_pattern(&patterns[i], &is_bound, spatial, temporal);
+            let wins = match best {
+                None => true,
+                Some((b, best_est)) => match est.partial_cmp(&best_est) {
+                    Some(std::cmp::Ordering::Less) => true,
+                    Some(std::cmp::Ordering::Greater) => false,
+                    _ => {
+                        keys.resize(patterns.len(), None);
+                        for k in [i, b] {
+                            keys[k].get_or_insert_with(|| pattern_key(&patterns[k]));
+                        }
+                        keys[i] < keys[b]
+                    }
+                },
+            };
+            if wins {
+                best = Some((i, est));
             }
-        };
-        let is_bound = |v: &str| bound.contains(v);
-        let best = candidates
-            .into_iter()
-            .map(|i| {
-                let est = stats.estimate_pattern(&patterns[i], &is_bound, spatial, temporal);
-                (i, est)
-            })
-            .min_by(|a, b| {
-                a.1.partial_cmp(&b.1)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| keys[a.0].cmp(&keys[b.0]))
-            })
-            .expect("candidates non-empty");
-        let (idx, est) = best;
-        let access = access_path(stats, &patterns[idx], spatial, temporal);
+        }
+        let (idx, est) = best.expect("a pattern remains");
         steps.push(PlanStep {
             pattern: idx,
-            key: keys[idx].clone(),
-            access,
+            triple: &patterns[idx],
+            access: access_path(stats, &patterns[idx], spatial, temporal),
             est_rows: est,
         });
-        bound.extend(vars[idx].iter().map(|v| v.to_string()));
-        remaining.retain(|&i| i != idx);
     }
     steps
 }
@@ -360,7 +357,7 @@ pub fn fingerprint(steps: &[PlanStep]) -> u64 {
         }
     };
     for s in steps {
-        eat(s.key.as_bytes());
+        eat(pattern_key(s.triple).as_bytes());
         eat(b"\x1f");
         eat(s.access.tag().as_bytes());
         eat(b"\x1e");
@@ -374,7 +371,7 @@ pub fn fingerprint(steps: &[PlanStep]) -> u64 {
 /// variables bound by earlier siblings count as bound input for later
 /// ones. Used by EXPLAIN (the `plan` span) and by the QA metamorphic
 /// "adversarial ordering" check.
-pub fn query_plan(stats: &Stats, pattern: &GraphPattern) -> Vec<PlanStep> {
+pub fn query_plan<'p>(stats: &Stats, pattern: &'p GraphPattern) -> Vec<PlanStep<'p>> {
     let mut steps = Vec::new();
     let mut bound = HashSet::new();
     walk(
@@ -393,19 +390,25 @@ pub fn query_fingerprint(stats: &Stats, pattern: &GraphPattern) -> u64 {
     fingerprint(&query_plan(stats, pattern))
 }
 
-fn walk(
+fn walk<'p>(
     stats: &Stats,
-    pattern: &GraphPattern,
+    pattern: &'p GraphPattern,
     spatial: &HashMap<String, Envelope>,
     temporal: &HashMap<String, (i64, i64)>,
     bound: &mut HashSet<String>,
-    steps: &mut Vec<PlanStep>,
+    steps: &mut Vec<PlanStep<'p>>,
 ) {
     match pattern {
         GraphPattern::Bgp(patterns) => {
-            steps.extend(order_patterns(stats, patterns, bound, spatial, temporal));
+            steps.extend(order_patterns(
+                stats,
+                patterns,
+                &|v| bound.contains(v),
+                spatial,
+                temporal,
+            ));
             for p in patterns {
-                bound.extend(p.variables().iter().map(|v| v.to_string()));
+                bound.extend(p.variables().map(String::from));
             }
         }
         GraphPattern::Filter(expr, inner) => {
@@ -662,9 +665,9 @@ mod tests {
         let tp = HashMap::new();
         let mut prints = Vec::new();
         for patterns in &orders {
-            let steps = order_patterns(&s, patterns, &HashSet::new(), &sp, &tp);
+            let steps = order_patterns(&s, patterns, &|_| false, &sp, &tp);
             // Every permutation starts from the rare pattern.
-            assert_eq!(steps[0].key, pattern_key(&b));
+            assert_eq!(steps[0].triple, &b);
             prints.push(fingerprint(&steps));
         }
         assert!(prints.windows(2).all(|w| w[0] == w[1]));
@@ -681,13 +684,7 @@ mod tests {
             pat("?x", "rare", "?y"),
             pat("?y", "common", "?z"),
         ];
-        let steps = order_patterns(
-            &s,
-            &patterns,
-            &HashSet::new(),
-            &HashMap::new(),
-            &HashMap::new(),
-        );
+        let steps = order_patterns(&s, &patterns, &|_| false, &HashMap::new(), &HashMap::new());
         assert_eq!(steps[0].pattern, 1);
         assert_eq!(steps[1].pattern, 2, "connected pattern joins next");
         assert_eq!(steps[2].pattern, 0);

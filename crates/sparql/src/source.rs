@@ -70,9 +70,9 @@ pub trait GraphSource {
 
     /// Seal-time statistics for the cost-based planner
     /// ([`crate::plan`]). Sources that collect a sketch when they seal
-    /// return it here; the default `None` leaves the planner without
-    /// estimates (it then keeps written order). Only consulted when
-    /// [`crate::EvalOptions::planner`] is on.
+    /// return it here; with the default `None` the planner works from
+    /// empty statistics, where every estimate ties and the order is
+    /// connected-first with the [`crate::plan::pattern_key`] tie-break.
     fn stats(&self) -> Option<&crate::plan::Stats> {
         None
     }

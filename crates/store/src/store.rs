@@ -734,10 +734,10 @@ SELECT DISTINCT ?geoA ?geoB ?lai WHERE
     }
 
     #[test]
-    fn planner_matches_written_order_on_store_queries() {
+    fn planned_store_queries_match_the_reference_evaluator() {
         // The planner may reorder unsorted rows but must return the same
-        // multiset — compare sorted CSV lines against the written-order
-        // oracle for the characteristic query shapes.
+        // multiset — compare sorted CSV lines against the nested-loop
+        // reference evaluator for the characteristic query shapes.
         let store = grid_store(6);
         let queries = [
             // Wide BGP with an adversarial written order (biggest first).
@@ -769,16 +769,19 @@ SELECT DISTINCT ?geoA ?geoB ?lai WHERE
         ];
         for q in queries {
             let parsed = applab_sparql::parse_query(q).unwrap();
-            let opts = applab_sparql::EvalOptions::default();
-            let plain = applab_sparql::evaluate_with(&store, &parsed, &opts).unwrap();
-            let planned =
-                applab_sparql::evaluate_with(&store, &parsed, &opts.clone().planner(true)).unwrap();
-            let (csv_a, csv_b) = (plain.to_csv(), planned.to_csv());
+            let oracle = applab_sparql::reference::evaluate(&store, &parsed).unwrap();
+            let planned = applab_sparql::evaluate_with(
+                &store,
+                &parsed,
+                &applab_sparql::EvalOptions::default(),
+            )
+            .unwrap();
+            let (csv_a, csv_b) = (oracle.to_csv(), planned.to_csv());
             let mut a: Vec<&str> = csv_a.lines().collect();
             let mut b: Vec<&str> = csv_b.lines().collect();
             a.sort_unstable();
             b.sort_unstable();
-            assert!(!plain.is_empty(), "oracle empty for {q}");
+            assert!(!oracle.is_empty(), "oracle empty for {q}");
             assert_eq!(a, b, "planner diverged on {q}");
         }
     }

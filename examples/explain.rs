@@ -10,7 +10,10 @@
 //! `query_explained` on both backends. For each query it prints the
 //! per-stage span tree — parse/scan/join/filter/project timings with
 //! build/probe cardinalities — and asserts the two backends agree on the
-//! row counts. On the spatial-join class it also asserts, on both backends,
+//! row counts. The scan spans carry the cost-based plan: `est_rows` (the
+//! statistics estimate) next to `rows` (what the scan produced), the
+//! chosen access path, and `pruned_rows` for the build-side Bloom/min-max
+//! filters. On the spatial-join class it also asserts, on both backends,
 //! that the parks and the green areas met in a `kind=spatial` join and
 //! that the FILTER saw only its envelope candidates. Ends with the
 //! Prometheus rendering of the metrics the run accumulated.
@@ -20,7 +23,7 @@ use copernicus_app_lab::core::{
     Explain, MaterializedWorkflow, QueryEndpoint, VirtualWorkflowBuilder,
 };
 use copernicus_app_lab::data::{mappings, ParisFixture};
-use copernicus_app_lab::sparql::{EvalOptions, QueryResults};
+use copernicus_app_lab::sparql::QueryResults;
 
 fn rows(r: &QueryResults) -> usize {
     match r {
@@ -106,33 +109,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             store.report(),
             obda.total_duration_ns() as f64 / 1e6,
             obda.report(),
-        );
-    }
-
-    // The cost-based planner under EXPLAIN: the scan spans now carry the
-    // plan — `est_rows` (the statistics estimate) next to `rows` (what the
-    // scan actually produced), the chosen access path, and `pruned_rows`
-    // for the build-side Bloom/min-max filters. The spatial join is the
-    // class where ordering matters most, so it is the showcase.
-    let planner = EvalOptions::default().planner(true);
-    for (name, sparql) in geographica_queries() {
-        if name != "Join_Parks_LandCover" && name != "Selection_Within_Attribute" {
-            continue;
-        }
-        let plain = mat.query_explained(&sparql)?;
-        let planned = mat.query_explained_with(&sparql, &planner)?;
-        assert_eq!(
-            rows(&plain.results),
-            rows(&planned.results),
-            "{name}: planner changed the row count"
-        );
-        println!(
-            "\n=== {name} planned ({} rows) ===\n--- planner off ({:.3} ms) ---\n{}--- planner on ({:.3} ms) ---\n{}",
-            rows(&planned.results),
-            plain.total_duration_ns() as f64 / 1e6,
-            plain.report(),
-            planned.total_duration_ns() as f64 / 1e6,
-            planned.report(),
         );
     }
 

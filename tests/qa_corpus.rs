@@ -33,10 +33,7 @@ fn corpus_cases_agree_across_all_engines() {
             cache = Some((case.dataset.clone(), h));
         }
         let (_, h) = cache.as_ref().expect("cache populated above");
-        // Planner-on engines included: the planner_* pins only bite when
-        // the cost-based path replays them, and the older pins get the
-        // planned configurations as extra coverage for free.
-        let verdict = h.run_text_planned(&case.query);
+        let verdict = h.run_text(&case.query);
         assert_eq!(
             verdict,
             Verdict::Agree,
