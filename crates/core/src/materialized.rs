@@ -5,14 +5,12 @@ use crate::error::CoreError;
 use applab_geotriples::{parse_mappings, process_parallel, TabularSource};
 use applab_link::{discover_links, Entity, LinkRule};
 use applab_rdf::Graph;
-use applab_sparql::{EvalOptions, QueryResults};
+use applab_sparql::{EvalOptions, GraphSource, QueryResults};
 use applab_store::SpatioTemporalStore;
 
 /// Download → GeoTriples → Strabon → interlink → GeoSPARQL.
 pub struct MaterializedWorkflow {
     store: SpatioTemporalStore,
-    /// Everything loaded so far, kept for interlinking extraction.
-    loaded: Graph,
     workers: usize,
 }
 
@@ -26,7 +24,6 @@ impl MaterializedWorkflow {
     pub fn new() -> Self {
         MaterializedWorkflow {
             store: SpatioTemporalStore::new(),
-            loaded: Graph::new(),
             workers: 4,
         }
     }
@@ -36,8 +33,8 @@ impl MaterializedWorkflow {
         self
     }
 
-    /// Transform a tabular source with a GeoTriples mapping document and
-    /// load the triples. Returns the number of new triples.
+    /// Transform a tabular source with a GeoTriples mapping document, load
+    /// the triples and seal the store once. Returns the number of new triples.
     pub fn load_table(
         &mut self,
         source: &TabularSource,
@@ -46,21 +43,19 @@ impl MaterializedWorkflow {
         let mappings = parse_mappings(mapping_doc)?;
         let mut added = 0;
         for mapping in &mappings {
-            let graph = process_parallel(mapping, source, self.workers);
-            added += self.load_graph(&graph);
+            for t in process_parallel(mapping, source, self.workers) {
+                added += usize::from(self.store.insert(t));
+            }
         }
         self.store.finish_load();
         Ok(added)
     }
 
-    /// Load pre-built RDF (e.g. an ontology). Returns new-triple count.
+    /// Load pre-built RDF (e.g. an ontology) and seal. Returns new-triple count.
     pub fn load_graph(&mut self, graph: &Graph) -> usize {
         let mut added = 0;
         for t in graph.iter() {
-            if self.store.insert(t.clone()) {
-                self.loaded.insert(t.clone());
-                added += 1;
-            }
+            added += usize::from(self.store.insert(t.clone()));
         }
         self.store.finish_load();
         added
@@ -76,7 +71,8 @@ impl MaterializedWorkflow {
     /// Interlink entities of the loaded data against an external graph,
     /// storing the produced links. Returns the number of links.
     pub fn interlink(&mut self, external: &Graph, rule: &LinkRule) -> usize {
-        let left: Vec<Entity> = Entity::all_from_graph(&self.loaded)
+        let loaded = Graph::from_iter(self.store.triples_matching(None, None, None));
+        let left: Vec<Entity> = Entity::all_from_graph(&loaded)
             .into_iter()
             .filter(|e| e.name.is_some())
             .collect();

@@ -1,7 +1,7 @@
 //! Spatiotemporal RDF storage: the "Strabon" of the reproduction.
 //!
 //! [`SpatioTemporalStore`] is a dictionary-encoded triple store with three
-//! B-tree permutation indexes (SPO/POS/OSP), an R-tree over `geo:wktLiteral`
+//! sorted permutation arrays (SPO/POS/OSP), an R-tree over `geo:wktLiteral`
 //! objects, and a sorted valid-time index over `xsd:dateTime` objects. It
 //! implements the `applab-sparql` [`GraphSource`](applab_sparql::GraphSource) trait *including* the
 //! spatial and temporal pushdown hooks, which is what gives it the

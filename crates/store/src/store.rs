@@ -4,25 +4,34 @@ use crate::dict::Dictionary;
 use applab_geo::{Envelope, Geometry, RTree};
 use applab_rdf::{Graph, Literal, NamedNode, Resource, Term, Triple};
 use applab_sparql::{GraphSource, IdAccess, IdColumns};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::ops::Bound;
 
 type Ids = (u64, u64, u64);
 
-/// Multiplicative hash over dictionary ids for the geometry table — the
-/// vectorized evaluator hits it once per projected row, where SipHash is
-/// measurable overhead.
+/// One triple's dictionary ids, narrowed to `u32`, in some permutation's
+/// order.
+type Key = [u32; 3];
+
+/// Fx-style multiplicative hash over dictionary ids for the geometry table
+/// and the pending key set — the vectorized evaluator hits the former once
+/// per projected row and every insert probes the latter, where SipHash is
+/// measurable overhead. The ids are dense and assigned by the store, so no
+/// input can choose colliding keys.
 #[derive(Default)]
 struct IdHasher(u64);
 
 impl Hasher for IdHasher {
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("IdHasher is only for u64 keys");
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(4) {
+            let mut word = [0; 4];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u32::from_le_bytes(word).into());
+        }
     }
 
     fn write_u64(&mut self, v: u64) {
-        self.0 = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = (self.0.rotate_left(26) ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 
     fn finish(&self) -> u64 {
@@ -32,28 +41,74 @@ impl Hasher for IdHasher {
 
 type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
 
+/// A permutation's key is the `[s, p, o]` triple rotated left by its
+/// order, so the positions a scan binds lead the key.
+const SPO: usize = 0;
+const POS: usize = 1;
+const OSP: usize = 2;
+
+fn rotated<T>(mut ids: [T; 3], by: usize) -> [T; 3] {
+    ids.rotate_left(by);
+    ids
+}
+
 /// A dictionary-encoded triple store with SPO/POS/OSP permutation indexes,
 /// an R-tree over geometry literals and a sorted valid-time index.
+///
+/// Loading is insert-then-seal: [`insert`](Self::insert) records a new
+/// triple in a transient pending set, and [`finish_load`](Self::finish_load)
+/// merges the pending keys into the three sorted permutation arrays,
+/// sorts the valid-time index and collects the planner statistics. Every
+/// scan sees every inserted triple, sealed or not; the temporal pushdown
+/// and the statistics wait for the seal.
 #[derive(Debug, Default)]
 pub struct SpatioTemporalStore {
     dict: Dictionary,
-    spo: BTreeSet<Ids>,
-    pos: BTreeSet<Ids>,
-    osp: BTreeSet<Ids>,
+    /// The sealed permutations, sorted and deduplicated: `perms[r]` holds
+    /// every sealed triple rotated left by `r` ([`SPO`], [`POS`], [`OSP`]).
+    perms: [Vec<Key>; 3],
+    /// SPO keys inserted since the last seal (disjoint from `perms[SPO]`).
+    pending: HashSet<Key, BuildHasherDefault<IdHasher>>,
     /// (envelope, (s, p, o)) for every triple whose object is a WKT literal.
-    spatial: RTree<Ids>,
+    spatial: RTree<Key>,
     /// Parsed geometry (with envelope) keyed by the object id of every WKT
     /// literal — the insert path parses the WKT anyway to index it, so the
     /// parse is kept and served through [`IdAccess::geometry`] instead of
     /// being re-done per query.
     geometries: IdMap<(Geometry, Envelope)>,
     /// (epoch seconds, (s, p, o)) for every triple whose object is a
-    /// dateTime literal, sorted by time.
-    temporal: Vec<(i64, Ids)>,
-    temporal_sorted: bool,
-    len: usize,
+    /// dateTime literal, sorted by time once sealed.
+    temporal: Vec<(i64, Key)>,
     /// Seal-time planner statistics, rebuilt by [`Self::finish_load`].
     stats: Option<applab_sparql::plan::Stats>,
+}
+
+/// A dictionary id as a key component. Ids are dense, so this fails only
+/// past 2^32 distinct terms.
+fn narrow(id: u64) -> u32 {
+    u32::try_from(id).expect("more than u32::MAX distinct terms")
+}
+
+fn widen([s, p, o]: Key) -> Ids {
+    (s.into(), p.into(), o.into())
+}
+
+/// Merge the sorted `run` into the sorted `sealed`, back to front in place,
+/// so the sealed part is neither copied nor re-sorted. The two are
+/// disjoint.
+fn merge_into(sealed: &mut Vec<Key>, run: &[Key]) {
+    let (mut i, mut j) = (sealed.len(), run.len());
+    sealed.reserve_exact(j);
+    sealed.resize(i + j, [0; 3]);
+    while j > 0 {
+        if i > 0 && sealed[i - 1] > run[j - 1] {
+            sealed[i + j - 1] = sealed[i - 1];
+            i -= 1;
+        } else {
+            sealed[i + j - 1] = run[j - 1];
+            j -= 1;
+        }
+    }
 }
 
 impl SpatioTemporalStore {
@@ -61,8 +116,8 @@ impl SpatioTemporalStore {
         SpatioTemporalStore::default()
     }
 
-    /// Bulk load a graph. Equivalent to repeated [`insert`](Self::insert)
-    /// but keeps the temporal index unsorted until the end.
+    /// Bulk load a graph: every triple through [`insert`](Self::insert),
+    /// then one [`finish_load`](Self::finish_load).
     pub fn from_graph(graph: &Graph) -> Self {
         let mut store = SpatioTemporalStore::new();
         for t in graph.iter() {
@@ -74,11 +129,11 @@ impl SpatioTemporalStore {
 
     /// Number of triples.
     pub fn len(&self) -> usize {
-        self.len
+        self.perms[SPO].len() + self.pending.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Number of entries in the spatial index.
@@ -91,37 +146,44 @@ impl SpatioTemporalStore {
         self.temporal.len()
     }
 
-    /// Insert one triple. Returns `false` if it was already present.
+    /// Insert one triple. Returns `false` if it was already present. A new
+    /// triple is pending until the next [`finish_load`](Self::finish_load).
     pub fn insert(&mut self, triple: Triple) -> bool {
-        let s = self.dict.encode(&Term::from(triple.subject.clone()));
-        let p = self.dict.encode(&Term::Named(triple.predicate.clone()));
-        let o = self.dict.encode(&triple.object);
-        if !self.spo.insert((s, p, o)) {
+        let s = narrow(self.dict.encode(&Term::from(triple.subject)));
+        let p = narrow(self.dict.encode(&Term::Named(triple.predicate)));
+        let o = narrow(self.dict.encode(&triple.object));
+        let key = [s, p, o];
+        if self.perms[SPO].binary_search(&key).is_ok() || !self.pending.insert(key) {
             return false;
         }
-        self.pos.insert((p, o, s));
-        self.osp.insert((o, s, p));
-        self.len += 1;
         if let Term::Literal(lit) = &triple.object {
             if let Some(g) = lit.as_geometry() {
                 let env = g.envelope();
-                self.spatial.insert(env, (s, p, o));
-                self.geometries.entry(o).or_insert((g, env));
+                self.spatial.insert(env, key);
+                self.geometries.entry(o.into()).or_insert((g, env));
             } else if let Some(t) = lit.as_datetime() {
-                self.temporal.push((t, (s, p, o)));
-                self.temporal_sorted = false;
+                self.temporal.push((t, key));
             }
         }
         true
     }
 
-    /// Sort the valid-time index after a bulk load, and collect the
-    /// seal-time planner statistics ([`applab_sparql::plan::Stats`]).
+    /// Seal a load: merge the pending keys into the three permutations
+    /// (one sort per permutation of the pending keys only), sort the
+    /// valid-time index, and collect the seal-time planner statistics
+    /// ([`applab_sparql::plan::Stats`]).
     pub fn finish_load(&mut self) {
-        self.temporal.sort_unstable_by_key(|(t, _)| *t);
-        self.temporal_sorted = true;
+        let pending: Vec<Key> = std::mem::take(&mut self.pending).into_iter().collect();
+        let mut run = Vec::with_capacity(pending.len());
+        for (order, sealed) in self.perms.iter_mut().enumerate() {
+            run.clear();
+            run.extend(pending.iter().map(|&k| rotated(k, order)));
+            run.sort_unstable();
+            merge_into(sealed, &run);
+        }
+        self.temporal.sort_by_key(|(t, _)| *t);
         self.stats = Some(self.collect_stats());
-        applab_obs::gauge!("applab_store_triples").set(self.len as i64);
+        applab_obs::gauge!("applab_store_triples").set(self.len() as i64);
         applab_obs::gauge!("applab_store_dict_terms").set(self.dict.len() as i64);
         applab_obs::gauge!("applab_store_spatial_index_entries").set(self.spatial.len() as i64);
         applab_obs::gauge!("applab_store_temporal_index_entries").set(self.temporal.len() as i64);
@@ -134,14 +196,14 @@ impl SpatioTemporalStore {
     fn collect_stats(&self) -> applab_sparql::plan::Stats {
         use applab_sparql::plan::{PredicateStats, SpatialSketch, Stats, TemporalSketch};
         let mut stats = Stats {
-            total_triples: self.len as u64,
+            total_triples: self.len() as u64,
             ..Stats::default()
         };
         // POS is sorted by (p, o, s): triples per predicate and distinct
         // objects per predicate fall out of run boundaries.
-        let mut by_id: HashMap<u64, PredicateStats> = HashMap::new();
-        let mut prev: Option<(u64, u64)> = None;
-        for &(p, o, _) in &self.pos {
+        let mut by_id: HashMap<u32, PredicateStats> = HashMap::new();
+        let mut prev: Option<(u32, u32)> = None;
+        for &[p, o, _] in &self.perms[POS] {
             let entry = by_id.entry(p).or_default();
             entry.triples += 1;
             if prev != Some((p, o)) {
@@ -151,15 +213,15 @@ impl SpatioTemporalStore {
         }
         // SPO is sorted by (s, p, o): distinct subjects per predicate are
         // distinct (s, p) prefixes.
-        let mut prev_sp: Option<(u64, u64)> = None;
-        for &(s, p, _) in &self.spo {
+        let mut prev_sp: Option<(u32, u32)> = None;
+        for &[s, p, _] in &self.perms[SPO] {
             if prev_sp != Some((s, p)) {
                 by_id.entry(p).or_default().distinct_subjects += 1;
                 prev_sp = Some((s, p));
             }
         }
         for (p, ps) in by_id {
-            if let Term::Named(n) = self.dict.decode(p) {
+            if let Term::Named(n) = self.dict.decode(p.into()) {
                 stats.predicates.insert(n.as_str().to_string(), ps);
             }
         }
@@ -179,17 +241,20 @@ impl SpatioTemporalStore {
         stats
     }
 
-    fn decode_triple(&self, (s, p, o): Ids) -> Triple {
-        let subject = match self.dict.decode(s) {
-            Term::Named(n) => Resource::Named(n.clone()),
-            Term::Blank(b) => Resource::Blank(b.clone()),
-            Term::Literal(_) => unreachable!("literal subject was never inserted"),
+    fn decode_triples(&self, hits: impl IntoIterator<Item = Ids>) -> Vec<Triple> {
+        let decode = |(s, p, o): Ids| {
+            let subject = match self.dict.decode(s) {
+                Term::Named(n) => Resource::Named(n.clone()),
+                Term::Blank(b) => Resource::Blank(b.clone()),
+                Term::Literal(_) => unreachable!("literal subject was never inserted"),
+            };
+            let predicate = match self.dict.decode(p) {
+                Term::Named(n) => n.clone(),
+                _ => unreachable!("non-IRI predicate was never inserted"),
+            };
+            Triple::new(subject, predicate, self.dict.decode(o).clone())
         };
-        let predicate = match self.dict.decode(p) {
-            Term::Named(n) => n.clone(),
-            _ => unreachable!("non-IRI predicate was never inserted"),
-        };
-        Triple::new(subject, predicate, self.dict.decode(o).clone())
+        hits.into_iter().map(decode).collect()
     }
 
     fn encode_lookup(
@@ -212,40 +277,6 @@ impl SpatioTemporalStore {
         };
         Some((s, p, o))
     }
-
-    /// Scan the best permutation index for an (s?, p?, o?) pattern.
-    fn scan(&self, s: Option<u64>, p: Option<u64>, o: Option<u64>) -> Vec<Ids> {
-        applab_obs::counter!("applab_store_scans_total").inc();
-        fn range2(set: &BTreeSet<Ids>, a: u64, b: u64) -> impl Iterator<Item = &Ids> + '_ {
-            set.range((a, b, 0)..=(a, b, u64::MAX))
-        }
-        fn range1(set: &BTreeSet<Ids>, a: u64) -> impl Iterator<Item = &Ids> + '_ {
-            set.range((
-                Bound::Included((a, 0, 0)),
-                Bound::Included((a, u64::MAX, u64::MAX)),
-            ))
-        }
-        match (s, p, o) {
-            (Some(s), Some(p), Some(o)) => {
-                if self.spo.contains(&(s, p, o)) {
-                    vec![(s, p, o)]
-                } else {
-                    vec![]
-                }
-            }
-            (Some(s), Some(p), None) => range2(&self.spo, s, p).copied().collect(),
-            (Some(s), None, None) => range1(&self.spo, s).copied().collect(),
-            (Some(s), None, Some(o)) => range2(&self.osp, o, s)
-                .map(|&(o, s, p)| (s, p, o))
-                .collect(),
-            (None, Some(p), Some(o)) => range2(&self.pos, p, o)
-                .map(|&(p, o, s)| (s, p, o))
-                .collect(),
-            (None, Some(p), None) => range1(&self.pos, p).map(|&(p, o, s)| (s, p, o)).collect(),
-            (None, None, Some(o)) => range1(&self.osp, o).map(|&(o, s, p)| (s, p, o)).collect(),
-            (None, None, None) => self.spo.iter().copied().collect(),
-        }
-    }
 }
 
 impl GraphSource for SpatioTemporalStore {
@@ -258,10 +289,10 @@ impl GraphSource for SpatioTemporalStore {
         let Some((s, p, o)) = self.encode_lookup(subject, predicate, object) else {
             return Vec::new(); // an explicit term is not in the dictionary
         };
-        self.scan(s, p, o)
-            .into_iter()
-            .map(|ids| self.decode_triple(ids))
-            .collect()
+        let mut cols = IdColumns::default();
+        self.scan_ids_columns(s, p, o, &mut cols);
+        let IdColumns { s, p, o } = cols;
+        self.decode_triples(s.into_iter().zip(p).zip(o).map(|((s, p), o)| (s, p, o)))
     }
 
     fn triples_matching_spatial(
@@ -271,15 +302,7 @@ impl GraphSource for SpatioTemporalStore {
         envelope: &Envelope,
     ) -> Option<Vec<Triple>> {
         let (s, p, _) = self.encode_lookup(subject, predicate, None)?;
-        applab_obs::counter!("applab_store_spatial_pushdown_total").inc();
-        applab_obs::querystats::pushdown();
-        let mut out = Vec::new();
-        self.spatial.visit(envelope, &mut |&(ts, tp, to)| {
-            if s.is_none_or(|s| s == ts) && p.is_none_or(|p| p == tp) {
-                out.push((ts, tp, to));
-            }
-        });
-        Some(out.into_iter().map(|ids| self.decode_triple(ids)).collect())
+        Some(self.decode_triples(self.scan_ids_spatial(s, p, envelope)?))
     }
 
     fn triples_matching_temporal(
@@ -289,23 +312,8 @@ impl GraphSource for SpatioTemporalStore {
         start: i64,
         end: i64,
     ) -> Option<Vec<Triple>> {
-        if !self.temporal_sorted {
-            return None; // mid-bulk-load: decline rather than answer wrongly
-        }
         let (s, p, _) = self.encode_lookup(subject, predicate, None)?;
-        applab_obs::counter!("applab_store_temporal_pushdown_total").inc();
-        applab_obs::querystats::pushdown();
-        let lo = self.temporal.partition_point(|(t, _)| *t < start);
-        let mut out = Vec::new();
-        for &(t, (ts, tp, to)) in &self.temporal[lo..] {
-            if t > end {
-                break;
-            }
-            if s.is_none_or(|s| s == ts) && p.is_none_or(|p| p == tp) {
-                out.push((ts, tp, to));
-            }
-        }
-        Some(out.into_iter().map(|ids| self.decode_triple(ids)).collect())
+        Some(self.decode_triples(self.scan_ids_temporal(s, p, start, end)?))
     }
 
     fn stats(&self) -> Option<&applab_sparql::plan::Stats> {
@@ -330,8 +338,9 @@ impl IdAccess for SpatioTemporalStore {
         self.dict.len() as u64
     }
 
-    /// Columnar scan: walk the best permutation index and append straight
-    /// into the match columns — no intermediate triple vector.
+    /// Columnar scan: take the run of the permutation whose key leads with
+    /// the bound positions and append it straight into the match columns,
+    /// in key order — no intermediate triple vector.
     fn scan_ids_columns(
         &self,
         s: Option<u64>,
@@ -340,57 +349,39 @@ impl IdAccess for SpatioTemporalStore {
         out: &mut IdColumns,
     ) {
         applab_obs::counter!("applab_store_scans_total").inc();
-        fn range2(set: &BTreeSet<Ids>, a: u64, b: u64) -> impl Iterator<Item = &Ids> + '_ {
-            set.range((a, b, 0)..=(a, b, u64::MAX))
+        let fit = |id: Option<u64>| id.map(u32::try_from).transpose();
+        let (Ok(s), Ok(p), Ok(o)) = (fit(s), fit(p), fit(o)) else {
+            return; // an id past the u32 range was never inserted
+        };
+        let order = match (s, p, o) {
+            (Some(_), _, None) | (Some(_), Some(_), Some(_)) | (None, None, None) => SPO,
+            (None, Some(_), _) => POS,
+            (_, None, Some(_)) => OSP,
+        };
+        let sealed = &self.perms[order];
+        // Full-key bounds of the run: `[a, 0, 0]..=[a, MAX, MAX]` for one
+        // bound position, `[a, b, 0]..=[a, b, MAX]` for two.
+        let bound = rotated([s, p, o], order);
+        let lo = bound.map(|id| id.unwrap_or(0));
+        let hi = bound.map(|id| id.unwrap_or(u32::MAX));
+        let mut run =
+            &sealed[sealed.partition_point(|k| *k < lo)..sealed.partition_point(|k| *k <= hi)];
+        // Keys not yet sealed join the run in key order.
+        let mut merged: Vec<Key> = self
+            .pending
+            .iter()
+            .map(|&k| rotated(k, order))
+            .filter(|k| (lo..=hi).contains(k))
+            .collect();
+        if !merged.is_empty() {
+            merged.extend_from_slice(run);
+            merged.sort_unstable();
+            run = &merged;
         }
-        fn range1(set: &BTreeSet<Ids>, a: u64) -> impl Iterator<Item = &Ids> + '_ {
-            set.range((
-                Bound::Included((a, 0, 0)),
-                Bound::Included((a, u64::MAX, u64::MAX)),
-            ))
-        }
-        match (s, p, o) {
-            (Some(s), Some(p), Some(o)) => {
-                if self.spo.contains(&(s, p, o)) {
-                    out.push(s, p, o);
-                }
-            }
-            (Some(s), Some(p), None) => {
-                for &(s, p, o) in range2(&self.spo, s, p) {
-                    out.push(s, p, o);
-                }
-            }
-            (Some(s), None, None) => {
-                for &(s, p, o) in range1(&self.spo, s) {
-                    out.push(s, p, o);
-                }
-            }
-            (Some(s), None, Some(o)) => {
-                for &(o, s, p) in range2(&self.osp, o, s) {
-                    out.push(s, p, o);
-                }
-            }
-            (None, Some(p), Some(o)) => {
-                for &(p, o, s) in range2(&self.pos, p, o) {
-                    out.push(s, p, o);
-                }
-            }
-            (None, Some(p), None) => {
-                for &(p, o, s) in range1(&self.pos, p) {
-                    out.push(s, p, o);
-                }
-            }
-            (None, None, Some(o)) => {
-                for &(o, s, p) in range1(&self.osp, o) {
-                    out.push(s, p, o);
-                }
-            }
-            (None, None, None) => {
-                out.reserve(self.len);
-                for &(s, p, o) in &self.spo {
-                    out.push(s, p, o);
-                }
-            }
+        out.reserve(run.len());
+        for &k in run {
+            let (s, p, o) = widen(rotated(k, 3 - order));
+            out.push(s, p, o);
         }
     }
 
@@ -407,7 +398,8 @@ impl IdAccess for SpatioTemporalStore {
         applab_obs::counter!("applab_store_spatial_pushdown_total").inc();
         applab_obs::querystats::pushdown();
         let mut out = Vec::new();
-        self.spatial.visit(envelope, &mut |&(ts, tp, to)| {
+        self.spatial.visit(envelope, &mut |&key| {
+            let (ts, tp, to) = widen(key);
             if s.is_none_or(|s| s == ts) && p.is_none_or(|p| p == tp) {
                 out.push((ts, tp, to));
             }
@@ -422,17 +414,18 @@ impl IdAccess for SpatioTemporalStore {
         start: i64,
         end: i64,
     ) -> Option<Vec<Ids>> {
-        if !self.temporal_sorted {
-            return None; // mid-bulk-load: decline rather than answer wrongly
+        if !self.pending.is_empty() {
+            return None; // mid-load, the time index is unsorted: decline rather than answer wrongly
         }
         applab_obs::counter!("applab_store_temporal_pushdown_total").inc();
         applab_obs::querystats::pushdown();
         let lo = self.temporal.partition_point(|(t, _)| *t < start);
         let mut out = Vec::new();
-        for &(t, (ts, tp, to)) in &self.temporal[lo..] {
+        for &(t, key) in &self.temporal[lo..] {
             if t > end {
                 break;
             }
+            let (ts, tp, to) = widen(key);
             if s.is_none_or(|s| s == ts) && p.is_none_or(|p| p == tp) {
                 out.push((ts, tp, to));
             }
