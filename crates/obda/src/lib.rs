@@ -14,8 +14,8 @@
 //!   columns;
 //! * [`vtable`] — the `opendap` virtual table: "create and populate a
 //!   virtual table on-the-fly with data retrieved from an OPeNDAP server",
-//!   plus the windowed cache ("results of an OPeNDAP call get cached every
-//!   w minutes");
+//!   read through the SDL's windowed [`applab_sdl::SubsetCache`] ("results
+//!   of an OPeNDAP call get cached every w minutes");
 //! * [`virtual_graph`] — the virtual RDF graphs: a
 //!   [`applab_sparql::GraphSource`] whose triples are defined by
 //!   GeoTriples-format mappings and materialized *per query*, never stored.
@@ -24,7 +24,10 @@
 //!
 //! The engine and the virtual graphs emit `obda.*` spans and
 //! `applab_obda_*` counters to the `applab-obs` global registry.
-#![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::print_stdout, clippy::print_stderr, clippy::unwrap_used)
+)]
 
 pub mod engine;
 pub mod fault;

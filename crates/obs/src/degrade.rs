@@ -2,11 +2,12 @@
 //!
 //! When the remote data plane fails but a stale cache entry is still
 //! inside its grace window, the stack serves the stale copy instead of
-//! erroring — a *degraded* answer. The layers that do this (`SubsetCache`
-//! in `applab-sdl`, the virtual tables in `applab-obda`) sit far below the
-//! service facade that must report the flag, and threading a boolean
-//! through every return type would contaminate `QueryResults` (whose
-//! byte-identical `PartialEq` is the backbone of the equivalence tests).
+//! erroring — a *degraded* answer. The one layer that does this,
+//! `SubsetCache` in `applab-sdl` (which also backs the `opendap` virtual
+//! tables of `applab-obda`), sits far below the service facade that must
+//! report the flag, and threading a boolean through every return type
+//! would contaminate `QueryResults` (whose byte-identical `PartialEq` is
+//! the backbone of the equivalence tests).
 //!
 //! Instead, stale serves [`mark`] a thread-local counter; the service
 //! opens a [`Scope`] around each query and asks it afterwards whether

@@ -28,5 +28,5 @@ pub mod cache;
 pub mod pool;
 pub mod sdl;
 
-pub use cache::{BboxFetcher, SubsetCache, TiledFetcher};
+pub use cache::{BboxFetcher, ServeStale, SubsetCache, TiledFetcher};
 pub use sdl::{Sdl, SdlError};
