@@ -99,10 +99,11 @@ impl NdArray {
 
     /// Wrap existing data; `data.len()` must equal the shape product.
     pub fn from_vec(shape: Vec<usize>, data: Vec<f64>) -> Result<Self, ShapeError> {
-        let expected: usize = shape.iter().product();
-        if data.len() != expected {
+        // Checked: the shape may come off the wire.
+        let expected = shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+        if expected != Some(data.len()) {
             return Err(ShapeError(format!(
-                "data length {} does not match shape {:?} (= {expected})",
+                "data length {} does not match shape {:?}",
                 data.len(),
                 shape
             )));

@@ -4,9 +4,9 @@
 //! server; at the ROADMAP's target scale that hop *will* drop, stall and
 //! corrupt responses. [`ChaosTransport`] decorates any [`Transport`] and
 //! injects five fault kinds at configurable rates, driven by a seeded
-//! splitmix64 generator so every failure sequence is exactly reproducible
-//! from the seed — the chaos stress suite replays identical fault
-//! schedules across runs and CI machines.
+//! splitmix64 generator ([`applab_obs::DetRng`]) so every failure
+//! sequence is exactly reproducible from the seed — the chaos stress
+//! suite replays identical fault schedules across runs and CI machines.
 //!
 //! Fault taxonomy (one draw per delivery, rates are cumulative):
 //!
@@ -24,47 +24,9 @@
 
 use crate::transport::Transport;
 use crate::DapError;
-use applab_obs::Counter;
-use bytes::Bytes;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use applab_obs::{Counter, DetRng};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
-
-/// A tiny deterministic PRNG (splitmix64): one u64 of state, full period,
-/// good enough bit mixing for fault scheduling, and — unlike anything from
-/// crates.io — available offline.
-#[derive(Debug, Clone)]
-pub struct DetRng {
-    state: u64,
-}
-
-impl DetRng {
-    pub fn new(seed: u64) -> Self {
-        DetRng { state: seed }
-    }
-
-    /// Next 64 raw bits.
-    pub fn next_u64(&mut self) -> u64 {
-        let out = applab_obs::splitmix64(self.state);
-        self.state = self.state.wrapping_add(applab_obs::SPLITMIX64_GAMMA);
-        out
-    }
-
-    /// Uniform f64 in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        // 53 high bits → the full double mantissa.
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Uniform usize in `[0, bound)`; 0 when `bound` is 0.
-    pub fn next_below(&mut self, bound: usize) -> usize {
-        if bound == 0 {
-            0
-        } else {
-            (self.next_u64() % bound as u64) as usize
-        }
-    }
-}
 
 /// Per-delivery fault rates. Rates are probabilities in `[0, 1]` and are
 /// applied cumulatively from one uniform draw, so `transient + timeout +
@@ -104,15 +66,6 @@ impl ChaosConfig {
             corrupt_rate: each,
             ..ChaosConfig::default()
         }
-    }
-
-    /// Sum of all fault rates.
-    pub fn total_rate(&self) -> f64 {
-        self.transient_rate
-            + self.timeout_rate
-            + self.stall_rate
-            + self.truncate_rate
-            + self.corrupt_rate
     }
 }
 
@@ -232,34 +185,32 @@ impl Transport for ChaosTransport {
         self.inner.round_trips()
     }
 
-    fn deliver(&self, payload: Bytes) -> Result<Bytes, DapError> {
+    fn deliver(&self, mut payload: Vec<u8>) -> Result<Vec<u8>, DapError> {
         // One lock scope for all the randomness this delivery needs, so a
         // delivery consumes a fixed, order-independent number of draws.
         let fault = {
-            let mut rng = self.rng.lock();
-            let draw = rng.next_f64();
+            let mut rng = self.rng.lock().unwrap_or_else(PoisonError::into_inner);
             let c = &self.config;
-            let transient = c.transient_rate;
-            let timeout = transient + c.timeout_rate;
-            let stall = timeout + c.stall_rate;
-            let truncate = stall + c.truncate_rate;
-            let corrupt = truncate + c.corrupt_rate;
-            if draw < transient {
-                Fault::Transient
-            } else if draw < timeout {
-                Fault::Timeout
-            } else if draw < stall {
-                Fault::Stall
-            } else if draw < truncate {
-                Fault::Truncate(rng.next_below(payload.len()))
-            } else if draw < corrupt {
-                Fault::Corrupt([
-                    rng.next_below(payload.len()),
-                    rng.next_below(payload.len()),
-                    rng.next_below(payload.len()),
-                ])
-            } else {
-                Fault::None
+            let len = payload.len();
+            // Indexes follow the order of `rates`.
+            let rates = [
+                c.transient_rate,
+                c.timeout_rate,
+                c.stall_rate,
+                c.truncate_rate,
+                c.corrupt_rate,
+            ];
+            match rng.pick(&rates) {
+                Some(0) => Fault::Transient,
+                Some(1) => Fault::Timeout,
+                Some(2) => Fault::Stall,
+                Some(3) => Fault::Truncate(rng.next_below(len)),
+                Some(_) => Fault::Corrupt([
+                    rng.next_below(len),
+                    rng.next_below(len),
+                    rng.next_below(len),
+                ]),
+                None => Fault::None,
             }
         };
 
@@ -291,17 +242,17 @@ impl Transport for ChaosTransport {
                 self.truncate.inc();
                 // A strict prefix arrives; the inner transport only ever
                 // sees (and charges for) the bytes that made it through.
-                self.inner.deliver(payload.slice(..keep))
+                payload.truncate(keep);
+                self.inner.deliver(payload)
             }
             Fault::Corrupt(positions) => {
                 self.corrupt.inc();
-                let mut damaged = payload.to_vec();
                 for pos in positions {
-                    if let Some(byte) = damaged.get_mut(pos) {
+                    if let Some(byte) = payload.get_mut(pos) {
                         *byte ^= 0xFF;
                     }
                 }
-                self.inner.deliver(Bytes::from(damaged))
+                self.inner.deliver(payload)
             }
         }
     }
@@ -313,42 +264,29 @@ mod tests {
     use crate::transport::Local;
 
     #[test]
-    fn splitmix_is_deterministic_and_uniform_ish() {
-        let mut a = DetRng::new(42);
-        let mut b = DetRng::new(42);
-        let seq_a: Vec<u64> = (0..16).map(|_| a.next_u64()).collect();
-        let seq_b: Vec<u64> = (0..16).map(|_| b.next_u64()).collect();
-        assert_eq!(seq_a, seq_b);
-        let mut c = DetRng::new(43);
-        assert_ne!(seq_a[0], c.next_u64());
-        // Every chaos seed matrix replays from these exact draws.
-        let mut pinned = DetRng::new(7);
-        assert_eq!(
-            (0..4).map(|_| pinned.next_u64()).collect::<Vec<_>>(),
-            [
-                0x63cbe1e459320dd7,
-                0x044c3cd7f43c661c,
-                0xe6984080bab12a02,
-                0x953aeb70673e29cb
-            ]
-        );
-        let mut r = DetRng::new(7);
-        let mean: f64 = (0..10_000).map(|_| r.next_f64()).sum::<f64>() / 10_000.0;
-        assert!((mean - 0.5).abs() < 0.02, "mean {mean} far from 0.5");
-        for _ in 0..1000 {
-            let v = r.next_f64();
-            assert!((0.0..1.0).contains(&v));
-        }
-    }
-
-    #[test]
     fn zero_rate_chaos_is_transparent() {
         let chaos = ChaosTransport::new(Arc::new(Local::new()), ChaosConfig::default(), 1);
-        let payload = Bytes::from_static(b"hello dap");
+        let payload = b"hello dap".to_vec();
         let delivered = chaos.deliver(payload.clone()).expect("no faults at rate 0");
         assert_eq!(delivered, payload);
         assert_eq!(chaos.injected().total(), 0);
         assert_eq!(chaos.round_trips(), 1);
+    }
+
+    /// The fault kind one delivery drew: the tally field that grew.
+    fn drawn_kind(before: ChaosTally, after: ChaosTally) -> &'static str {
+        let grew = [
+            after.transient > before.transient,
+            after.timeout > before.timeout,
+            after.stall > before.stall,
+            after.truncate > before.truncate,
+            after.corrupt > before.corrupt,
+        ];
+        ["transient", "timeout", "stall", "truncate", "corrupt"]
+            .into_iter()
+            .zip(grew)
+            .find_map(|(kind, grew)| grew.then_some(kind))
+            .unwrap_or("none")
     }
 
     #[test]
@@ -357,9 +295,13 @@ mod tests {
             let chaos =
                 ChaosTransport::new(Arc::new(Local::new()), ChaosConfig::uniform(0.5), seed);
             let outcomes: Vec<String> = (0..64)
-                .map(|i| match chaos.deliver(Bytes::from(vec![i as u8; 100])) {
-                    Ok(b) => format!("ok:{}", b.len()),
-                    Err(e) => format!("err:{e}"),
+                .map(|i| {
+                    let before = chaos.injected();
+                    let outcome = match chaos.deliver(vec![i as u8; 100]) {
+                        Ok(b) => format!("ok:{}", b.len()),
+                        Err(e) => format!("err:{e}"),
+                    };
+                    format!("{} {outcome}", drawn_kind(before, chaos.injected()))
                 })
                 .collect();
             (outcomes, chaos.injected())
@@ -370,13 +312,38 @@ mod tests {
         assert_eq!(tally1, tally2);
         let (out3, _) = run(0xBEEF);
         assert_ne!(out1, out3, "different seeds should diverge");
+        // Pinned from the generator the schedule was first recorded with;
+        // every seeded chaos run replays from these draws.
+        let timeout = "timeout err:transport error: request timed out after 500ms";
+        let ok = "none ok:100";
+        assert_eq!(
+            run(7).0[..16],
+            [
+                "truncate ok:4",
+                ok,
+                ok,
+                "corrupt ok:100",
+                timeout,
+                "corrupt ok:100",
+                ok,
+                ok,
+                ok,
+                ok,
+                "truncate ok:97",
+                ok,
+                ok,
+                timeout,
+                "truncate ok:15",
+                ok,
+            ]
+        );
     }
 
     #[test]
     fn all_fault_kinds_fire_at_high_rate() {
         let chaos = ChaosTransport::new(Arc::new(Local::new()), ChaosConfig::uniform(1.0), 99);
         for _ in 0..256 {
-            let _ = chaos.deliver(Bytes::from(vec![7u8; 64]));
+            let _ = chaos.deliver(vec![7u8; 64]);
         }
         let tally = chaos.injected();
         assert_eq!(tally.total(), 256, "rate 1.0 faults every delivery");
@@ -394,7 +361,7 @@ mod tests {
             ..ChaosConfig::default()
         };
         let chaos = ChaosTransport::new(Arc::new(Local::new()), config, 5);
-        let payload = Bytes::from(vec![0xAB; 500]);
+        let payload = vec![0xAB; 500];
         for _ in 0..32 {
             let out = chaos
                 .deliver(payload.clone())
@@ -411,7 +378,7 @@ mod tests {
             ..ChaosConfig::default()
         };
         let chaos = ChaosTransport::new(Arc::new(Local::new()), config, 5);
-        let payload = Bytes::from(vec![0u8; 300]);
+        let payload = vec![0u8; 300];
         let out = chaos
             .deliver(payload.clone())
             .expect("corrupt still delivers");
@@ -429,9 +396,7 @@ mod tests {
         };
         let chaos = ChaosTransport::new(Arc::new(Local::new()), config, 5);
         let started = std::time::Instant::now();
-        let out = chaos
-            .deliver(Bytes::from_static(b"payload"))
-            .expect("stall delivers");
+        let out = chaos.deliver(b"payload".to_vec()).expect("stall delivers");
         assert_eq!(&out[..], b"payload");
         assert!(
             started.elapsed() < Duration::from_millis(100),

@@ -22,9 +22,7 @@ use crate::server::DapServer;
 use crate::transport::Transport;
 use crate::{das, dds, dods, DapError};
 use applab_array::Variable;
-use bytes::Bytes;
-use parking_lot::RwLock;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// CRC-32 (IEEE 802.3, reflected) — the checksum DAP4 attaches to data
 /// responses. Every exchange checksums its payload twice (as sent and as
@@ -58,8 +56,8 @@ const fn crc32_table() -> [u32; 256] {
     table
 }
 
-fn utf8(payload: Bytes) -> Result<String, DapError> {
-    String::from_utf8(payload.to_vec())
+fn utf8(payload: Vec<u8>) -> Result<String, DapError> {
+    String::from_utf8(payload)
         .map_err(|_| DapError::Wire("response is not valid UTF-8".to_string()))
 }
 
@@ -101,17 +99,27 @@ impl DapClient {
     /// the breaker cooldown (use a `ManualClock` in deterministic tests);
     /// `seed` drives the backoff jitter.
     pub fn enable_resilience(&self, config: ResilienceConfig, clock: Arc<dyn Clock>, seed: u64) {
-        *self.resilience.write() = Some(Arc::new(ResilienceState::new(config, clock, seed)));
+        *self
+            .resilience
+            .write()
+            .unwrap_or_else(PoisonError::into_inner) =
+            Some(Arc::new(ResilienceState::new(config, clock, seed)));
     }
 
     /// Drop back to fail-on-first-error.
     pub fn disable_resilience(&self) {
-        *self.resilience.write() = None;
+        *self
+            .resilience
+            .write()
+            .unwrap_or_else(PoisonError::into_inner) = None;
     }
 
     /// The active resilience state, if any (tests, diagnostics).
     pub fn resilience(&self) -> Option<Arc<ResilienceState>> {
-        self.resilience.read().clone()
+        self.resilience
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Total payload bytes received so far.
@@ -127,7 +135,7 @@ impl DapClient {
     /// One integrity-checked wire exchange: checksum the authoritative
     /// server payload, push it through the transport, and verify what
     /// arrived, so wire damage can never reach a parser unnoticed.
-    fn exchange(&self, payload: Bytes) -> Result<Bytes, DapError> {
+    fn exchange(&self, payload: Vec<u8>) -> Result<Vec<u8>, DapError> {
         let expected_len = payload.len();
         let expected_crc = crc32(&payload);
         let delivered = self.transport.deliver(payload)?;
@@ -154,8 +162,8 @@ impl DapClient {
         &self,
         dataset: &str,
         kind: &'static str,
-        produce: &dyn Fn() -> Result<Bytes, DapError>,
-        parse: &dyn Fn(Bytes) -> Result<T, DapError>,
+        produce: &dyn Fn() -> Result<Vec<u8>, DapError>,
+        parse: &dyn Fn(Vec<u8>) -> Result<T, DapError>,
     ) -> Result<T, DapError> {
         let mut span = applab_obs::span("dap.request");
         span.record("kind", kind);
@@ -166,7 +174,11 @@ impl DapClient {
             let value = parse(delivered)?;
             Ok((value, bytes))
         };
-        let resilience = self.resilience.read().clone();
+        let resilience = self
+            .resilience
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
         let outcome = match resilience {
             Some(state) => state.execute(dataset, &run),
             None => run(),
@@ -192,7 +204,7 @@ impl DapClient {
             &|| {
                 self.server
                     .dds(dataset, self.token.as_deref())
-                    .map(|text| Bytes::from(text.into_bytes()))
+                    .map(String::into_bytes)
             },
             &|payload| dds::parse(&utf8(payload)?),
         )
@@ -206,7 +218,7 @@ impl DapClient {
             &|| {
                 self.server
                     .das(dataset, self.token.as_deref())
-                    .map(|text| Bytes::from(text.into_bytes()))
+                    .map(String::into_bytes)
             },
             &|payload| das::parse(&utf8(payload)?),
         )
@@ -222,7 +234,7 @@ impl DapClient {
             dataset,
             "dods",
             &|| self.server.dods(dataset, constraint, self.token.as_deref()),
-            &dods::decode,
+            &|payload| dods::decode(&payload),
         )
     }
 
@@ -233,7 +245,7 @@ impl DapClient {
             "ncml",
             &|| {
                 crate::ncml_service::render(&self.server, dataset, self.token.as_deref())
-                    .map(|text| Bytes::from(text.into_bytes()))
+                    .map(String::into_bytes)
             },
             &utf8,
         )
@@ -245,11 +257,7 @@ impl DapClient {
         self.fetch(
             "_catalog",
             "catalog",
-            &|| {
-                Ok(Bytes::from(
-                    self.server.dataset_names().join("\n").into_bytes(),
-                ))
-            },
+            &|| Ok(self.server.dataset_names().join("\n").into_bytes()),
             &|payload| {
                 let text = utf8(payload)?;
                 Ok(if text.is_empty() {

@@ -8,76 +8,79 @@
 
 use crate::DapError;
 use applab_array::{NdArray, Variable};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 const MAGIC: &[u8; 8] = b"ALDODS01";
 
+/// Fewest bytes one encoded variable can take: name length, rank and
+/// value count. Bounds the reservation for a header-declared count.
+const MIN_VARIABLE_BYTES: usize = 2 + 2 + 8;
+/// Fewest bytes one encoded dimension can take: name length and length.
+const MIN_DIM_BYTES: usize = 2 + 8;
+
 /// Encode a set of variables (already sliced to the requested subset).
-pub fn encode(variables: &[Variable]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(
+pub fn encode(variables: &[Variable]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(
         16 + variables
             .iter()
             .map(|v| v.data.len() * 8 + 64)
             .sum::<usize>(),
     );
-    buf.put_slice(MAGIC);
-    buf.put_u32(variables.len() as u32);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&(variables.len() as u32).to_be_bytes());
     for v in variables {
         put_str(&mut buf, &v.name);
-        buf.put_u16(v.dims.len() as u16);
+        buf.extend_from_slice(&(v.dims.len() as u16).to_be_bytes());
         for (dim, &len) in v.dims.iter().zip(v.data.shape()) {
             put_str(&mut buf, dim);
-            buf.put_u64(len as u64);
+            buf.extend_from_slice(&(len as u64).to_be_bytes());
         }
-        buf.put_u64(v.data.len() as u64);
+        buf.extend_from_slice(&(v.data.len() as u64).to_be_bytes());
         for &x in v.data.data() {
-            buf.put_f64(x);
+            buf.extend_from_slice(&x.to_be_bytes());
         }
     }
-    buf.freeze()
+    buf
 }
 
-/// Decode a `.dods` payload back into variables.
-pub fn decode(mut payload: Bytes) -> Result<Vec<Variable>, DapError> {
+/// Decode a `.dods` payload back into variables. The payload comes from
+/// outside the process, so every length it declares is checked against
+/// the bytes that are actually there before anything is read or reserved.
+pub fn decode(mut payload: &[u8]) -> Result<Vec<Variable>, DapError> {
     let err = |m: &str| DapError::Wire(format!("DODS: {m}"));
-    if payload.remaining() < 12 {
+    let (Some(magic), Some(count)) = (take::<8>(&mut payload), take::<4>(&mut payload)) else {
         return Err(err("truncated header"));
-    }
-    let mut magic = [0u8; 8];
-    payload.copy_to_slice(&mut magic);
+    };
     if &magic != MAGIC {
         return Err(err("bad magic"));
     }
-    let count = payload.get_u32() as usize;
-    let mut out = Vec::with_capacity(count);
+    let count = u32::from_be_bytes(count) as usize;
+    let mut out = Vec::with_capacity(count.min(payload.len() / MIN_VARIABLE_BYTES));
     for _ in 0..count {
         let name = get_str(&mut payload).ok_or_else(|| err("truncated name"))?;
-        if payload.remaining() < 2 {
-            return Err(err("truncated rank"));
-        }
-        let rank = payload.get_u16() as usize;
-        let mut dims = Vec::with_capacity(rank);
-        let mut shape = Vec::with_capacity(rank);
+        let rank = take(&mut payload).ok_or_else(|| err("truncated rank"))?;
+        let rank = u16::from_be_bytes(rank) as usize;
+        let reserve = rank.min(payload.len() / MIN_DIM_BYTES);
+        let (mut dims, mut shape) = (Vec::with_capacity(reserve), Vec::with_capacity(reserve));
         for _ in 0..rank {
             let dim = get_str(&mut payload).ok_or_else(|| err("truncated dim"))?;
-            if payload.remaining() < 8 {
-                return Err(err("truncated dim length"));
-            }
-            let len = payload.get_u64() as usize;
+            let len = take(&mut payload).ok_or_else(|| err("truncated dim length"))?;
             dims.push(dim);
-            shape.push(len);
+            shape.push(u64::from_be_bytes(len) as usize);
         }
-        if payload.remaining() < 8 {
-            return Err(err("truncated value count"));
-        }
-        let n = payload.get_u64() as usize;
-        if payload.remaining() < n * 8 {
-            return Err(err("truncated values"));
-        }
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(payload.get_f64());
-        }
+        let n = take(&mut payload).ok_or_else(|| err("truncated value count"))?;
+        let n = u64::from_be_bytes(n) as usize;
+        let values = n
+            .checked_mul(8)
+            .filter(|&bytes| bytes <= payload.len())
+            .ok_or_else(|| err("truncated values"))?;
+        let (values, rest) = payload.split_at(values);
+        payload = rest;
+        let data = values
+            .as_chunks()
+            .0
+            .iter()
+            .map(|&raw| f64::from_be_bytes(raw))
+            .collect();
         let array =
             NdArray::from_vec(shape, data).map_err(|e| err(&format!("inconsistent shape: {e}")))?;
         out.push(Variable::new(name, dims, array));
@@ -85,22 +88,26 @@ pub fn decode(mut payload: Bytes) -> Result<Vec<Variable>, DapError> {
     Ok(out)
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u16(s.len() as u16);
-    buf.put_slice(s.as_bytes());
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    buf.extend_from_slice(&(s.len() as u16).to_be_bytes());
+    buf.extend_from_slice(s.as_bytes());
 }
 
-fn get_str(buf: &mut Bytes) -> Option<String> {
-    if buf.remaining() < 2 {
+/// The next `N` bytes of `buf`, or `None` when fewer remain.
+fn take<const N: usize>(buf: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = buf.split_first_chunk::<N>()?;
+    *buf = rest;
+    Some(*head)
+}
+
+fn get_str(buf: &mut &[u8]) -> Option<String> {
+    let len = u16::from_be_bytes(take(buf)?) as usize;
+    if buf.len() < len {
         return None;
     }
-    let len = buf.get_u16() as usize;
-    if buf.remaining() < len {
-        return None;
-    }
-    let mut raw = vec![0u8; len];
-    buf.copy_to_slice(&mut raw);
-    String::from_utf8(raw).ok()
+    let (raw, rest) = buf.split_at(len);
+    *buf = rest;
+    String::from_utf8(raw.to_vec()).ok()
 }
 
 #[cfg(test)]
@@ -126,7 +133,7 @@ mod tests {
     fn roundtrip() {
         let vars = sample();
         let payload = encode(&vars);
-        let decoded = decode(payload).unwrap();
+        let decoded = decode(&payload).unwrap();
         assert_eq!(decoded.len(), 2);
         assert_eq!(decoded[0].name, "LAI");
         assert_eq!(decoded[0].dims, vec!["time".to_string(), "lat".to_string()]);
@@ -153,16 +160,45 @@ mod tests {
 
     #[test]
     fn rejects_corrupt_payloads() {
-        assert!(decode(Bytes::from_static(b"short")).is_err());
-        assert!(decode(Bytes::from_static(b"WRONGMAG\0\0\0\0")).is_err());
+        assert!(decode(b"short").is_err());
+        assert!(decode(b"WRONGMAG\0\0\0\0").is_err());
         let good = encode(&sample());
-        let truncated = good.slice(..good.len() - 5);
-        assert!(decode(truncated).is_err());
+        assert!(decode(&good[..good.len() - 5]).is_err());
+        // A header that declares more than the payload can hold must be
+        // rejected, neither reserved nor multiplied out: one variable `x`
+        // of rank 0 declaring 2^61 values (2^61 · 8 overflows usize), with
+        // one value present.
+        let mut huge = MAGIC.to_vec();
+        huge.extend_from_slice(&1u32.to_be_bytes());
+        huge.extend_from_slice(&1u16.to_be_bytes());
+        huge.push(b'x');
+        huge.extend_from_slice(&0u16.to_be_bytes());
+        huge.extend_from_slice(&(1u64 << 61).to_be_bytes());
+        huge.extend_from_slice(&1.0f64.to_be_bytes());
+        assert_eq!(huge.len(), 33);
+        assert!(matches!(decode(&huge), Err(DapError::Wire(_))));
+        // u32::MAX declared variables in a 12-byte payload.
+        let mut many = MAGIC.to_vec();
+        many.extend_from_slice(&u32::MAX.to_be_bytes());
+        assert!(matches!(decode(&many), Err(DapError::Wire(_))));
+        // Two dimensions whose lengths multiply past usize.
+        let mut wide = MAGIC.to_vec();
+        wide.extend_from_slice(&1u32.to_be_bytes());
+        wide.extend_from_slice(&1u16.to_be_bytes());
+        wide.push(b'x');
+        wide.extend_from_slice(&2u16.to_be_bytes());
+        for _ in 0..2 {
+            wide.extend_from_slice(&1u16.to_be_bytes());
+            wide.push(b'd');
+            wide.extend_from_slice(&(1u64 << 33).to_be_bytes());
+        }
+        wide.extend_from_slice(&0u64.to_be_bytes());
+        assert!(matches!(decode(&wide), Err(DapError::Wire(_))));
     }
 
     #[test]
     fn empty_variable_list() {
         let payload = encode(&[]);
-        assert_eq!(decode(payload).unwrap().len(), 0);
+        assert_eq!(decode(&payload).unwrap().len(), 0);
     }
 }

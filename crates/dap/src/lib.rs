@@ -35,7 +35,7 @@ pub mod resilience;
 pub mod server;
 pub mod transport;
 
-pub use chaos::{ChaosConfig, ChaosTransport, DetRng};
+pub use chaos::{ChaosConfig, ChaosTransport};
 pub use client::DapClient;
 pub use constraint::Constraint;
 pub use resilience::{

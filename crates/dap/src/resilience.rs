@@ -23,14 +23,12 @@
 //! span (nested under the request's `dap.request` span, so retries show
 //! up in query EXPLAIN output).
 
-use crate::chaos::DetRng;
 use crate::clock::Clock;
 use crate::DapError;
-use applab_obs::{Counter, Gauge};
-use parking_lot::{Mutex, RwLock};
+use applab_obs::{Counter, DetRng, Gauge};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Duration;
 
 /// Bounded retries with decorrelated-jitter backoff.
@@ -149,7 +147,10 @@ impl CircuitBreaker {
     }
 
     fn with_dataset<T>(&self, dataset: &str, f: impl FnOnce(&mut DatasetBreaker) -> T) -> T {
-        let mut map = self.datasets.write();
+        let mut map = self
+            .datasets
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
         let entry = map.entry(dataset.to_string()).or_insert_with(|| {
             let gauge = applab_obs::global().gauge_with(
                 "applab_dap_breaker_state",
@@ -230,6 +231,7 @@ impl CircuitBreaker {
     pub fn state(&self, dataset: &str) -> BreakerState {
         self.datasets
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .get(dataset)
             .map(|b| b.state)
             .unwrap_or(BreakerState::Closed)
@@ -348,7 +350,7 @@ impl ResilienceState {
                         .map(|(b, _)| *b)
                         .unwrap_or(self.config.retry.base_backoff);
                     let backoff = {
-                        let mut rng = self.rng.lock();
+                        let mut rng = self.rng.lock().unwrap_or_else(PoisonError::into_inner);
                         self.config.retry.next_backoff(prev, &mut rng)
                     };
                     // Budget-aware: never sleep past the query deadline.

@@ -13,9 +13,8 @@
 use crate::constraint::Constraint;
 use crate::{das, dds, dods, DapError};
 use applab_array::{Dataset, NdArray, Range, Variable};
-use bytes::Bytes;
-use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::{PoisonError, RwLock};
 
 /// Per-user access log entry counts (dataset → hits).
 pub type AccessLog = BTreeMap<String, BTreeMap<String, u64>>;
@@ -45,17 +44,29 @@ impl DapServer {
 
     /// Publish (or replace) a dataset under its name.
     pub fn publish(&self, dataset: Dataset) {
-        self.catalog.write().insert(dataset.name.clone(), dataset);
+        self.catalog
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(dataset.name.clone(), dataset);
     }
 
     /// Register an access token for a user (RAMANI-style registration).
     pub fn register_token(&self, token: impl Into<String>, user: impl Into<String>) {
-        self.tokens.write().insert(token.into(), user.into());
+        self.tokens
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(token.into(), user.into());
     }
 
     /// Dataset names in the catalog.
     pub fn dataset_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.catalog.read().keys().cloned().collect();
+        let mut names: Vec<String> = self
+            .catalog
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .keys()
+            .cloned()
+            .collect();
         names.sort();
         names
     }
@@ -63,14 +74,17 @@ impl DapServer {
     /// Check a token and log the access. An open server (no registered
     /// tokens) accepts everything.
     fn authorize(&self, token: Option<&str>, dataset: &str) -> Result<(), DapError> {
-        let tokens = self.tokens.read();
+        let tokens = self.tokens.read().unwrap_or_else(PoisonError::into_inner);
         if tokens.is_empty() {
             return Ok(());
         }
         let user = token
             .and_then(|t| tokens.get(t))
             .ok_or_else(|| DapError::NoSuchDataset(format!("{dataset} (unauthorized)")))?;
-        let mut log = self.access_log.write();
+        let mut log = self
+            .access_log
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
         *log.entry(user.clone())
             .or_default()
             .entry(dataset.to_string())
@@ -80,21 +94,34 @@ impl DapServer {
 
     /// The "which users access which datasets" report.
     pub fn access_log(&self) -> AccessLog {
-        self.access_log.read().clone()
+        self.access_log
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Install a fault hook consulted before every DDS/DAS/DODS request.
     pub fn set_fault_hook(&self, hook: FaultHook) {
-        *self.fault_hook.write() = Some(hook);
+        *self
+            .fault_hook
+            .write()
+            .unwrap_or_else(PoisonError::into_inner) = Some(hook);
     }
 
     /// Remove the fault hook, restoring a healthy server.
     pub fn clear_fault_hook(&self) {
-        *self.fault_hook.write() = None;
+        *self
+            .fault_hook
+            .write()
+            .unwrap_or_else(PoisonError::into_inner) = None;
     }
 
     fn check_fault(&self, kind: &str, dataset: &str) -> Result<(), DapError> {
-        match &*self.fault_hook.read() {
+        match &*self
+            .fault_hook
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+        {
             Some(hook) => hook(kind, dataset),
             None => Ok(()),
         }
@@ -105,7 +132,7 @@ impl DapServer {
         name: &str,
         f: impl FnOnce(&Dataset) -> Result<T, DapError>,
     ) -> Result<T, DapError> {
-        let catalog = self.catalog.read();
+        let catalog = self.catalog.read().unwrap_or_else(PoisonError::into_inner);
         let ds = catalog
             .get(name)
             .ok_or_else(|| DapError::NoSuchDataset(name.to_string()))?;
@@ -132,7 +159,7 @@ impl DapServer {
         name: &str,
         constraint: &Constraint,
         token: Option<&str>,
-    ) -> Result<Bytes, DapError> {
+    ) -> Result<Vec<u8>, DapError> {
         self.check_fault("dods", name)?;
         self.authorize(token, name)?;
         self.with_dataset(name, |ds| {
@@ -292,7 +319,7 @@ mod tests {
         let s = server();
         let c = Constraint::parse("LAI[1][0:1][2]").unwrap();
         let payload = s.dods("lai_300m", &c, None).unwrap();
-        let vars = dods::decode(payload).unwrap();
+        let vars = dods::decode(&payload).unwrap();
         assert_eq!(vars.len(), 1);
         assert_eq!(vars[0].data.shape(), &[1, 2, 1]);
         assert_eq!(vars[0].data.get(&[0, 0, 0]).unwrap(), 102.0);
@@ -303,7 +330,7 @@ mod tests {
     fn dods_unconstrained_returns_everything() {
         let s = server();
         let payload = s.dods("lai_300m", &Constraint::all(), None).unwrap();
-        let vars = dods::decode(payload).unwrap();
+        let vars = dods::decode(&payload).unwrap();
         assert_eq!(vars.len(), 4); // time, lat, lon, LAI
     }
 

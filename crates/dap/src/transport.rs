@@ -10,7 +10,6 @@
 
 use crate::DapError;
 use applab_obs::Counter;
-use bytes::Bytes;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -39,7 +38,7 @@ pub trait Transport: Send + Sync {
     /// network — everything the server sent arrives intact. Faulty
     /// transports ([`crate::ChaosTransport`]) override this to drop,
     /// delay, truncate or corrupt the payload.
-    fn deliver(&self, payload: Bytes) -> Result<Bytes, DapError> {
+    fn deliver(&self, payload: Vec<u8>) -> Result<Vec<u8>, DapError> {
         self.charge(payload.len());
         Ok(payload)
     }

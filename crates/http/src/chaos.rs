@@ -1,7 +1,7 @@
 //! Deterministic socket-level fault injection for the wire plane.
 //!
-//! PR 4 gave the *downstream* data plane a seeded fault model
-//! ([`applab_dap::chaos`]); this module extends the same discipline up to
+//! The *downstream* data plane has a seeded fault model
+//! (`applab_dap::chaos`); this module extends the same discipline up to
 //! the listening socket. [`ChaosListener`] decorates accepted
 //! [`TcpStream`]s with [`ChaosStream`], which injects the hostile-client
 //! behaviours an internet-facing SPARQL endpoint actually meets:
@@ -17,7 +17,7 @@
 //!
 //! Scheduling is deterministic in *accept order*: the listener draws
 //! exactly one `u64` from a seeded splitmix64 generator
-//! ([`applab_dap::DetRng`]) per accepted connection and derives the whole
+//! ([`applab_obs::DetRng`]) per accepted connection and derives the whole
 //! per-connection fault plan from that sub-seed. Replaying the same seed
 //! against the same connection sequence replays the same faults — the
 //! chaos suite (`tests/http_chaos.rs`) leans on this for per-seed replay.
@@ -29,7 +29,7 @@
 //! 4xx (or a 408 when the terminator itself was hit), never as a
 //! *different valid query* answered silently.
 
-use applab_dap::DetRng;
+use applab_obs::DetRng;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
@@ -98,16 +98,6 @@ impl SocketChaos {
             ..SocketChaos::default()
         }
     }
-
-    /// Sum of all fault rates.
-    pub fn total_rate(&self) -> f64 {
-        self.reset_rate
-            + self.read_stall_rate
-            + self.write_stall_rate
-            + self.slowloris_rate
-            + self.partial_write_rate
-            + self.corrupt_rate
-    }
 }
 
 /// The per-connection fault plan, fully derived at accept time.
@@ -142,47 +132,38 @@ impl Plan {
     /// connection is a healthy passthrough.
     fn derive(config: &SocketChaos, subseed: u64) -> Option<Plan> {
         let mut rng = DetRng::new(subseed);
-        let draw = rng.next_f64();
-        let mut acc = config.reset_rate;
-        if draw < acc {
+        // Indexes follow the order of `rates`.
+        let rates = [
+            config.reset_rate,
+            config.read_stall_rate,
+            config.write_stall_rate,
+            config.slowloris_rate,
+            config.partial_write_rate,
+            config.corrupt_rate,
+        ];
+        Some(match rng.pick(&rates)? {
             // Small thresholds reset inside the response head, larger
             // ones mid-body or a few keep-alive responses in.
-            return Some(Plan::Reset {
+            0 => Plan::Reset {
                 threshold: 1 + rng.next_below(2048) as u64,
-            });
-        }
-        acc += config.read_stall_rate;
-        if draw < acc {
-            return Some(Plan::ReadStall {
+            },
+            1 => Plan::ReadStall {
                 delay: config.stall,
                 fired: false,
-            });
-        }
-        acc += config.write_stall_rate;
-        if draw < acc {
-            return Some(Plan::WriteStall {
+            },
+            2 => Plan::WriteStall {
                 delay: config.stall,
                 fired: false,
-            });
-        }
-        acc += config.slowloris_rate;
-        if draw < acc {
-            return Some(Plan::Slowloris {
+            },
+            3 => Plan::Slowloris {
                 bytes: 8 + rng.next_below(25) as u64,
                 delay: config.drip_delay,
-            });
-        }
-        acc += config.partial_write_rate;
-        if draw < acc {
-            return Some(Plan::PartialWrite);
-        }
-        acc += config.corrupt_rate;
-        if draw < acc {
-            return Some(Plan::Corrupt {
+            },
+            4 => Plan::PartialWrite,
+            _ => Plan::Corrupt {
                 offset: rng.next_below(CORRUPT_WINDOW) as u64,
-            });
-        }
-        None
+            },
+        })
     }
 
     fn kind(&self) -> &'static str {
@@ -437,6 +418,29 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(kinds(7), kinds(7), "same seed, same schedule");
+        // Pinned from the generator the schedule was first recorded with;
+        // every seeded socket-chaos run replays from these draws.
+        assert_eq!(
+            kinds(7)[..16],
+            [
+                None,
+                None,
+                None,
+                None,
+                None,
+                Some("corrupt"),
+                None,
+                None,
+                Some("reset"),
+                None,
+                Some("read_stall"),
+                None,
+                Some("reset"),
+                None,
+                None,
+                Some("reset"),
+            ]
+        );
         assert_ne!(kinds(7), kinds(8), "different seed, different schedule");
         let hit = kinds(7).iter().filter(|k| k.is_some()).count();
         assert!((10..=54).contains(&hit), "~50% fault rate, got {hit}/64");

@@ -8,7 +8,7 @@
 //! virtual table narrows its scan on the grid's own coordinate axes.
 
 use crate::sql::{Const, FromClause, Predicate, SourceQuery};
-use crate::vtable::{Pushdown, VTableRegistry, VirtualTable};
+use crate::vtable::{Pushdown, VirtualTable};
 use crate::ObdaError;
 use applab_geo::{Envelope, RTree};
 use applab_geotriples::{Row, TabularSource, Value};
@@ -48,7 +48,8 @@ impl IndexedTable {
 #[derive(Default)]
 pub struct DataSource {
     tables: HashMap<String, IndexedTable>,
-    vtables: VTableRegistry,
+    /// `opendap:<dataset>:<variable>` → virtual table.
+    vtables: HashMap<String, Arc<dyn VirtualTable>>,
 }
 
 impl DataSource {
@@ -65,7 +66,7 @@ impl DataSource {
     /// Register a virtual table under `opendap:<dataset>:<variable>`.
     pub fn add_opendap(&mut self, dataset: &str, variable: &str, table: Arc<dyn VirtualTable>) {
         self.vtables
-            .register(format!("opendap:{dataset}:{variable}"), table);
+            .insert(format!("opendap:{dataset}:{variable}"), table);
     }
 
     pub fn table_names(&self) -> Vec<&str> {
@@ -210,6 +211,35 @@ mod tests {
         let mut ds = DataSource::new();
         ds.add_table(parks());
         ds
+    }
+
+    /// A virtual table answering every scan with one empty row.
+    struct OneRow;
+
+    impl VirtualTable for OneRow {
+        fn scan(&self, _: &Pushdown) -> Result<Vec<Row>, ObdaError> {
+            Ok(vec![Row::new()])
+        }
+    }
+
+    #[test]
+    fn opendap_tables_are_found_by_dataset_and_variable() {
+        let mut ds = source();
+        ds.add_opendap("lai_300m", "LAI", Arc::new(OneRow));
+        let query = |dataset: &str| SourceQuery {
+            columns: Vec::new(),
+            from: FromClause::Opendap {
+                dataset: dataset.into(),
+                variable: "LAI".into(),
+                window_secs: 0,
+            },
+            predicates: Vec::new(),
+        };
+        assert_eq!(ds.execute(&query("lai_300m"), None).unwrap().len(), 1);
+        assert!(matches!(
+            ds.execute(&query("nope"), None),
+            Err(ObdaError::NoSuchTable(key)) if key == "opendap:nope:LAI"
+        ));
     }
 
     #[test]

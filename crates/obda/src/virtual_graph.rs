@@ -24,9 +24,8 @@ use applab_rdf::{vocab, NamedNode, Resource, Term, Triple};
 use applab_sparql::algebra::{connected_components, TermPattern, TriplePattern};
 use applab_sparql::expr::Binding;
 use applab_sparql::GraphSource;
-use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 struct CompiledMapping {
     mapping: Mapping,
@@ -100,13 +99,21 @@ impl VirtualGraph {
     ) -> Result<Arc<Vec<Row>>, ObdaError> {
         let cacheable = hint.is_none() && matches!(cm.query.from, FromClause::Table(_));
         if cacheable {
-            if let Some(rows) = self.row_cache.lock().get(&idx) {
+            if let Some(rows) = self
+                .row_cache
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get(&idx)
+            {
                 return Ok(rows.clone());
             }
         }
         let rows = Arc::new(self.source.execute(&cm.query, hint)?);
         if cacheable {
-            self.row_cache.lock().insert(idx, rows.clone());
+            self.row_cache
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .insert(idx, rows.clone());
         }
         Ok(rows)
     }

@@ -27,7 +27,6 @@ use applab_geo::Envelope;
 use applab_geotriples::{Row, Value};
 use applab_rdf::datetime::format_datetime;
 use applab_sdl::{ServeStale, SubsetCache};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -300,26 +299,6 @@ impl VirtualTable for OpendapTable {
     }
 }
 
-/// A registry of named virtual tables.
-#[derive(Default)]
-pub struct VTableRegistry {
-    tables: HashMap<String, Arc<dyn VirtualTable>>,
-}
-
-impl VTableRegistry {
-    pub fn new() -> Self {
-        VTableRegistry::default()
-    }
-
-    pub fn register(&mut self, key: impl Into<String>, table: Arc<dyn VirtualTable>) {
-        self.tables.insert(key.into(), table);
-    }
-
-    pub fn get(&self, key: &str) -> Option<&Arc<dyn VirtualTable>> {
-        self.tables.get(key)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -543,24 +522,6 @@ mod tests {
             }
             other => panic!("expected Unavailable, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn registry() {
-        let clock = ManualClock::new();
-        let mut reg = VTableRegistry::new();
-        reg.register(
-            "opendap:lai_300m:LAI",
-            Arc::new(OpendapTable::new(
-                client(),
-                "lai_300m",
-                "LAI",
-                Duration::ZERO,
-                clock,
-            )),
-        );
-        assert!(reg.get("opendap:lai_300m:LAI").is_some());
-        assert!(reg.get("nope").is_none());
     }
 
     /// The oracle: unroll the whole grid into rows, as the table did

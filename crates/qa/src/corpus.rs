@@ -8,6 +8,7 @@
 //! byte-identically.
 
 use crate::dataset::{DatasetSpec, Table};
+use applab_rdf::term::escape_literal;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -26,21 +27,6 @@ pub struct CorpusCase {
     pub note: String,
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl CorpusCase {
     pub fn to_ron(&self) -> String {
         let tables: Vec<String> = self
@@ -51,7 +37,7 @@ impl CorpusCase {
             .collect();
         let mut s = String::new();
         let _ = writeln!(s, "QaCase(");
-        let _ = writeln!(s, "    name: \"{}\",", escape(&self.name));
+        let _ = writeln!(s, "    name: \"{}\",", escape_literal(&self.name));
         let _ = writeln!(s, "    seed: {},", self.seed);
         let _ = writeln!(
             s,
@@ -63,8 +49,8 @@ impl CorpusCase {
             tables.join(", "),
             self.dataset.grid
         );
-        let _ = writeln!(s, "    query: \"{}\",", escape(&self.query));
-        let _ = writeln!(s, "    note: \"{}\",", escape(&self.note));
+        let _ = writeln!(s, "    query: \"{}\",", escape_literal(&self.query));
+        let _ = writeln!(s, "    note: \"{}\",", escape_literal(&self.note));
         s.push_str(")\n");
         s
     }

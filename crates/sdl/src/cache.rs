@@ -20,10 +20,9 @@ use applab_dap::clock::Clock;
 use applab_dap::{Constraint, DapClient, DapError};
 use applab_geo::tile::TileGrid;
 use applab_geo::Envelope;
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::marker::PhantomData;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Duration;
 
 /// Whether a failed refresh may be bridged by a stale cached copy: a
@@ -155,6 +154,7 @@ impl<V, E: ServeStale> SubsetCache<V, E> {
                 if self.window > Duration::ZERO {
                     self.entries
                         .write()
+                        .unwrap_or_else(PoisonError::into_inner)
                         .insert(key.to_string(), (now, value.clone()));
                 }
                 return Ok((value, false));
@@ -174,7 +174,7 @@ impl<V, E: ServeStale> SubsetCache<V, E> {
     /// The entry under `key` if it is younger than `max_age` at `now`. A
     /// zero window inserts nothing, so it never finds one.
     fn entry(&self, key: &str, now: Duration, max_age: Duration) -> Option<Arc<V>> {
-        let entries = self.entries.read();
+        let entries = self.entries.read().unwrap_or_else(PoisonError::into_inner);
         let (at, value) = entries.get(key)?;
         (now.saturating_sub(*at) < max_age).then(|| value.clone())
     }
@@ -187,11 +187,15 @@ impl<V, E: ServeStale> SubsetCache<V, E> {
         let keep = self.window + self.grace;
         self.entries
             .write()
+            .unwrap_or_else(PoisonError::into_inner)
             .retain(|_, (at, _)| now.saturating_sub(*at) < keep);
     }
 
     pub fn len(&self) -> usize {
-        self.entries.read().len()
+        self.entries
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -212,20 +216,14 @@ struct GridInfo {
 impl GridInfo {
     fn open(client: Arc<DapClient>, dataset: &str, variable: &str) -> Result<Self, DapError> {
         let coords = client.get_data(dataset, &Constraint::parse("lat,lon").expect("static"))?;
-        let lats = coords
-            .iter()
-            .find(|v| v.name == "lat")
-            .ok_or_else(|| DapError::NoSuchVariable("lat".into()))?
-            .data
-            .data()
-            .to_vec();
-        let lons = coords
-            .iter()
-            .find(|v| v.name == "lon")
-            .ok_or_else(|| DapError::NoSuchVariable("lon".into()))?
-            .data
-            .data()
-            .to_vec();
+        let axis = |name: &str| {
+            coords
+                .iter()
+                .find(|v| v.name == name)
+                .map(|v| v.data.data().to_vec())
+                .ok_or_else(|| DapError::NoSuchVariable(name.into()))
+        };
+        let (lats, lons) = (axis("lat")?, axis("lon")?);
         Ok(GridInfo {
             client,
             dataset: dataset.to_string(),
@@ -236,16 +234,24 @@ impl GridInfo {
     }
 
     /// Fetch the (time_idx, lat-range, lon-range) subset for an envelope.
+    /// An envelope outside the data extent, or any other constraint the
+    /// server rejects, selects the empty subset, which caches like any
+    /// other.
     fn fetch_envelope(&self, env: &Envelope, time_idx: usize) -> Result<Vec<Variable>, DapError> {
-        let lat_range = index_range(&self.lats, env.min_y, env.max_y)
-            .ok_or_else(|| DapError::Constraint("viewport selects no latitudes".into()))?;
-        let lon_range = index_range(&self.lons, env.min_x, env.max_x)
-            .ok_or_else(|| DapError::Constraint("viewport selects no longitudes".into()))?;
+        let (Some(lat_range), Some(lon_range)) = (
+            index_range(&self.lats, env.min_y, env.max_y),
+            index_range(&self.lons, env.min_x, env.max_x),
+        ) else {
+            return Ok(Vec::new());
+        };
         let constraint = Constraint::variable(
             self.variable.clone(),
             vec![Range::index(time_idx), lat_range, lon_range],
         );
-        self.client.get_data(&self.dataset, &constraint)
+        match self.client.get_data(&self.dataset, &constraint) {
+            Err(DapError::Constraint(_)) => Ok(Vec::new()),
+            fetched => fetched,
+        }
     }
 
     fn domain(&self) -> Envelope {
@@ -317,14 +323,8 @@ impl TiledFetcher {
             );
             let before = self.cache.hits();
             let env = self.grid.tile_envelope(tile);
-            self.cache.get_or_fetch(&key, || {
-                match self.info.fetch_envelope(&env, time_idx) {
-                    Ok(vars) => Ok(vars),
-                    // A tile fully outside the data extent caches empty.
-                    Err(DapError::Constraint(_)) => Ok(Vec::new()),
-                    Err(e) => Err(e),
-                }
-            })?;
+            self.cache
+                .get_or_fetch(&key, || self.info.fetch_envelope(&env, time_idx))?;
             if self.cache.hits() > before {
                 stats.cache_hits += 1;
             }
@@ -377,13 +377,8 @@ impl BboxFetcher {
             time_idx
         );
         let before = self.cache.hits();
-        self.cache.get_or_fetch(&key, || {
-            match self.info.fetch_envelope(viewport, time_idx) {
-                Ok(vars) => Ok(vars),
-                Err(DapError::Constraint(_)) => Ok(Vec::new()),
-                Err(e) => Err(e),
-            }
-        })?;
+        self.cache
+            .get_or_fetch(&key, || self.info.fetch_envelope(viewport, time_idx))?;
         let stats = FetchStats {
             requests: 1,
             cache_hits: (self.cache.hits() - before) as usize,

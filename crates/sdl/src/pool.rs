@@ -6,7 +6,7 @@
 //! draining a shared job list, which is what [`run_parallel`] does for
 //! [`Sdl::get_animation`](crate::Sdl::get_animation).
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Run `jobs` on `workers` threads, preserving input order in the output.
 pub fn run_parallel<T, R, F>(workers: usize, jobs: Vec<T>, f: F) -> Vec<R>
@@ -28,7 +28,7 @@ where
                     let mut done = Vec::new();
                     loop {
                         // A statement of its own, so the guard drops before the job runs.
-                        let next = queue.lock().next();
+                        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
                         let Some((i, job)) = next else { return done };
                         done.push((i, f(job)));
                     }

@@ -17,10 +17,9 @@ use applab_dap::das::Das;
 use applab_dap::dds::Dds;
 use applab_dap::{Constraint, DapClient, DapError};
 use applab_geo::{Coord, Envelope};
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Duration;
 
 /// SDL error.
@@ -131,7 +130,12 @@ impl Sdl {
     }
 
     fn info(&self, dataset: &str) -> Result<Arc<DatasetInfo>, SdlError> {
-        if let Some(info) = self.info_cache.read().get(dataset) {
+        if let Some(info) = self
+            .info_cache
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(dataset)
+        {
             return Ok(info.clone());
         }
         let dds = self.client.get_dds(dataset)?;
@@ -174,6 +178,7 @@ impl Sdl {
         });
         self.info_cache
             .write()
+            .unwrap_or_else(PoisonError::into_inner)
             .insert(dataset.to_string(), info.clone());
         Ok(info)
     }

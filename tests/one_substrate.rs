@@ -1,10 +1,10 @@
 //! One substrate: the repository carries one benchmark (`benchmark/`) and
 //! the experiment bins, and nothing else that measures. These checks keep
 //! the retired bench plane from growing back: no vendored stand-in beyond
-//! the four the product uses, no root result file beyond Geographica's,
+//! `rand` and `proptest`, no root result file beyond Geographica's,
 //! and no Criterion-style `[[bench]]` target. They also keep the shared
 //! routines single: one SplitMix64, one civil-date conversion and one
-//! JSON string escaper in the product's source.
+//! JSON string escaper in the product's source and the stand-ins.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -28,11 +28,9 @@ fn dir_names(dir: &Path) -> BTreeSet<String> {
 }
 
 #[test]
-fn vendor_holds_exactly_the_four_stand_ins_in_use() {
+fn vendor_holds_exactly_the_two_stand_ins_in_use() {
     let vendored = dir_names(&root().join("vendor"));
-    let expected: BTreeSet<String> = ["bytes", "parking_lot", "proptest", "rand"]
-        .map(String::from)
-        .into();
+    let expected: BTreeSet<String> = ["proptest", "rand"].map(String::from).into();
     assert_eq!(vendored, expected, "vendor/ must hold exactly these crates");
 }
 
@@ -90,14 +88,15 @@ fn files_containing(dir: &Path, needle: &str, hits: &mut Vec<String>) {
 #[test]
 fn shared_routines_are_written_once() {
     // Needles are assembled at run time so this file does not match
-    // itself; `vendor/` and `benchmark/` are outside the product.
+    // itself; `benchmark/` is outside the product. The vendored stand-ins
+    // are scanned too: `rand` seeds from `applab_obs::splitmix64`.
     for (needle, home) in [
         (["bf58476d", "1ce4e5b9"].concat(), "crates/obs/src/lib.rs"),
         (["719", "468"].concat(), "crates/array/src/time.rs"),
         (["\\\\u{", ":04x}"].concat(), "crates/obs/src/json.rs"),
     ] {
         let mut hits = Vec::new();
-        for dir in ["crates", "tests", "examples", "src"] {
+        for dir in ["crates", "tests", "examples", "src", "vendor"] {
             files_containing(&root().join(dir), &needle, &mut hits);
         }
         assert_eq!(hits, [home], "{needle:?} belongs in {home} only");
