@@ -2,7 +2,7 @@
 
 use crate::endpoint::QueryEndpoint;
 use crate::error::CoreError;
-use applab_geotriples::{parse_mappings, process_parallel, TabularSource};
+use applab_geotriples::{for_each_triple, parse_mappings, TabularSource};
 use applab_link::{discover_links, Entity, LinkRule};
 use applab_rdf::Graph;
 use applab_sparql::{EvalOptions, GraphSource, QueryResults};
@@ -35,6 +35,8 @@ impl MaterializedWorkflow {
 
     /// Transform a tabular source with a GeoTriples mapping document, load
     /// the triples and seal the store once. Returns the number of new triples.
+    /// The triples go into the store in row order as the GeoTriples workers
+    /// expand later rows; the store's own deduplication is the only one.
     pub fn load_table(
         &mut self,
         source: &TabularSource,
@@ -43,9 +45,9 @@ impl MaterializedWorkflow {
         let mappings = parse_mappings(mapping_doc)?;
         let mut added = 0;
         for mapping in &mappings {
-            for t in process_parallel(mapping, source, self.workers) {
+            for_each_triple(mapping, source, self.workers, |t| {
                 added += usize::from(self.store.insert(t));
-            }
+            });
         }
         self.store.finish_load();
         Ok(added)

@@ -22,5 +22,5 @@ pub mod processor;
 pub mod source;
 
 pub use mapping::{parse_mappings, Mapping, MappingError};
-pub use processor::{process, process_parallel};
+pub use processor::{for_each_triple, process, process_parallel};
 pub use source::{Row, TabularSource, Value};

@@ -31,10 +31,9 @@ impl Graph {
 
     /// Insert a triple; returns `false` if it was already present.
     pub fn insert(&mut self, triple: Triple) -> bool {
-        if self.seen.contains(&triple) {
+        if !self.seen.insert(triple.clone()) {
             return false;
         }
-        self.seen.insert(triple.clone());
         self.by_subject
             .entry(triple.subject.clone())
             .or_default()

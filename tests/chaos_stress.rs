@@ -16,7 +16,7 @@
 
 use applab_bench::geographica_queries;
 use copernicus_app_lab::core::{CoreError, VirtualWorkflow, VirtualWorkflowBuilder};
-use copernicus_app_lab::dap::chaos::{ChaosConfig, ChaosTransport};
+use copernicus_app_lab::dap::chaos::{ChaosConfig, ChaosTally, ChaosTransport};
 use copernicus_app_lab::dap::clock::ManualClock;
 use copernicus_app_lab::dap::transport::Local;
 use copernicus_app_lab::dap::ResilienceConfig;
@@ -50,9 +50,19 @@ fn jobs() -> Vec<(String, String)> {
     jobs
 }
 
+/// Rounds of the LAI query alone after the two rounds of the full mix. A
+/// round makes one DAP fetch, and at rate 0.10 the first fault of seeds 1
+/// and 2 comes only with the eleventh fetch: with these rounds every
+/// (seed, rate) pass of the CI seeds and the defaults injects a fault.
+const LAI_ROUNDS: usize = 9;
+
 /// One virtual workflow: Paris fixture tables + the LAI product published
-/// on the embedded OPeNDAP server, reached through a `ChaosTransport`.
-fn build_workflow(seed: u64, config: ChaosConfig) -> (VirtualWorkflow, Arc<ManualClock>) {
+/// on the embedded OPeNDAP server, reached through a `ChaosTransport`
+/// (returned too, for its tally of injected faults).
+fn build_workflow(
+    seed: u64,
+    config: ChaosConfig,
+) -> (VirtualWorkflow, Arc<ManualClock>, Arc<ChaosTransport>) {
     let fixture = ParisFixture::generate(5, 12, 8);
     let mut lai = grids::lai_dataset(
         &fixture.world,
@@ -67,7 +77,7 @@ fn build_workflow(seed: u64, config: ChaosConfig) -> (VirtualWorkflow, Arc<Manua
 
     let clock = ManualClock::new();
     let chaos = Arc::new(ChaosTransport::new(Arc::new(Local::new()), config, seed));
-    let mut b = VirtualWorkflowBuilder::with_transport_and_clock(chaos, clock.clone());
+    let mut b = VirtualWorkflowBuilder::with_transport_and_clock(chaos.clone(), clock.clone());
     b.publish(lai);
     for (table, doc) in [
         (fixture.world.osm_table(), mappings::OSM_MAPPING),
@@ -86,11 +96,14 @@ fn build_workflow(seed: u64, config: ChaosConfig) -> (VirtualWorkflow, Arc<Manua
         .unwrap();
     b.set_stale_grace(Duration::from_secs(100_000));
     b.enable_resilience(ResilienceConfig::no_sleep(), seed);
-    (b.seal().unwrap(), clock)
+    (b.seal().unwrap(), clock, chaos)
 }
 
-fn build_service(seed: u64, config: ChaosConfig) -> (ApplabService, Arc<ManualClock>) {
-    let (wf, clock) = build_workflow(seed, config);
+fn build_service(
+    seed: u64,
+    config: ChaosConfig,
+) -> (ApplabService, Arc<ManualClock>, Arc<ChaosTransport>) {
+    let (wf, clock, chaos) = build_workflow(seed, config);
     let svc = ApplabService::new(ServiceConfig {
         max_in_flight: 4,
         max_queue: 64,
@@ -99,7 +112,7 @@ fn build_service(seed: u64, config: ChaosConfig) -> (ApplabService, Arc<ManualCl
     })
     .with_endpoint("obda", Arc::new(wf))
     .with_flight_recorder(flight_recorder());
-    (svc, clock)
+    (svc, clock, chaos)
 }
 
 /// One shared flight recorder across every service this harness builds,
@@ -124,7 +137,7 @@ fn dump_flight_tape() -> String {
 
 /// Fault-free reference answers, keyed by job name.
 fn baseline(jobs: &[(String, String)]) -> HashMap<String, String> {
-    let (svc, _clock) = build_service(0, ChaosConfig::uniform(0.0));
+    let (svc, _clock, _chaos) = build_service(0, ChaosConfig::uniform(0.0));
     jobs.iter()
         .map(|(name, sparql)| {
             let out = svc.query("obda", sparql);
@@ -165,27 +178,33 @@ fn check(
     (out.code(), out.degraded)
 }
 
-/// One sequential pass: two rounds over the job mix with the clock pushed
-/// past the cache window in between, so the second round refetches (or
-/// stale-serves) instead of riding the warm cache.
+/// One sequential pass: two rounds over the job mix, then
+/// [`LAI_ROUNDS`] rounds of the LAI query alone, with the clock pushed
+/// past the cache window before every round but the first, so each round
+/// refetches (or stale-serves) instead of riding the warm cache. Returns
+/// the outcomes and the faults injected.
 fn run_pass(
     seed: u64,
     rate: f64,
     jobs: &[(String, String)],
     baseline: &HashMap<String, String>,
-) -> Vec<(&'static str, bool)> {
-    let (svc, clock) = build_service(seed, ChaosConfig::uniform(rate));
+) -> (Vec<(&'static str, bool)>, ChaosTally) {
+    let (svc, clock, chaos) = build_service(seed, ChaosConfig::uniform(rate));
+    let lai = &jobs[jobs.len() - 1..]; // `jobs()` puts the LAI query last
+    let rounds = [jobs, jobs]
+        .into_iter()
+        .chain(std::iter::repeat_n(lai, LAI_ROUNDS));
     let mut outcomes = Vec::new();
-    for round in 0..2 {
+    for (round, round_jobs) in rounds.enumerate() {
         if round > 0 {
             clock.advance(Duration::from_secs(601));
         }
-        for (name, sparql) in jobs {
+        for (name, sparql) in round_jobs {
             let out = svc.query("obda", sparql);
             outcomes.push(check(name, &out, baseline));
         }
     }
-    outcomes
+    (outcomes, chaos.injected())
 }
 
 #[test]
@@ -194,8 +213,12 @@ fn chaos_mix_holds_the_trichotomy_deterministically() {
     let baseline = baseline(&jobs);
     for seed in seeds() {
         for rate in [0.10, 0.30] {
-            let first = run_pass(seed, rate, &jobs, &baseline);
-            let second = run_pass(seed, rate, &jobs, &baseline);
+            let (first, injected) = run_pass(seed, rate, &jobs, &baseline);
+            let (second, _) = run_pass(seed, rate, &jobs, &baseline);
+            assert!(
+                injected.total() > 0,
+                "seed {seed} @ {rate}: chaos injected nothing — the suite is vacuous"
+            );
             if first != second {
                 panic!(
                     "seed {seed} @ {rate}: fault injection must replay deterministically\n\
@@ -211,7 +234,7 @@ fn chaos_mix_holds_the_trichotomy_deterministically() {
 fn concurrent_chaos_holds_the_trichotomy() {
     let jobs = jobs();
     let baseline = baseline(&jobs);
-    let (svc, _clock) = build_service(seeds()[0], ChaosConfig::uniform(0.30));
+    let (svc, _clock, _chaos) = build_service(seeds()[0], ChaosConfig::uniform(0.30));
     std::thread::scope(|scope| {
         for t in 0..8usize {
             let svc = &svc;
@@ -238,7 +261,7 @@ fn hard_outage_is_typed_and_observable() {
         transient_rate: 1.0,
         ..ChaosConfig::default()
     };
-    let (svc, _clock) = build_service(seeds()[0], config);
+    let (svc, _clock, _chaos) = build_service(seeds()[0], config);
     let out = svc.query("obda", LAI_QUERY);
     assert_eq!(out.code(), "unavailable", "{:?}", out.result);
     assert!(!out.degraded, "failures are not degraded answers");
@@ -281,7 +304,7 @@ fn retry_spans_surface_in_explain() {
         ..ChaosConfig::default()
     };
     for seed in 0..64 {
-        let (wf, _clock) = build_workflow(seed, config.clone());
+        let (wf, _clock, _chaos) = build_workflow(seed, config.clone());
         if let Ok(explain) = wf.query_explained(LAI_QUERY) {
             assert!(!explain.results.is_empty());
             if tree_contains(&explain.profile, "dap.retry") {

@@ -1,9 +1,10 @@
 //! Heap footprint of the materialized write path, as counts rather than
 //! clocks: a counting global allocator tracks live and peak heap bytes
 //! while the four Paris vector tables go through
-//! `MaterializedWorkflow::load_table`, and the test bounds both per stored
-//! triple. It is a binary of its own so that no other test's allocations
-//! are counted. Run with `--nocapture` to see the figures.
+//! `MaterializedWorkflow::load_table`, and the test bounds both, and the
+//! allocation calls, per stored triple. It is a binary of its own so that
+//! no other test's allocations are counted. Run with `--nocapture` to see
+//! the figures.
 
 use applab_core::MaterializedWorkflow;
 use applab_data::{mappings as m, ParisFixture};
@@ -92,9 +93,16 @@ fn loading_the_paris_tables_stays_within_its_heap_budget() {
         "{:.1} live heap bytes per triple after the load (budget 200)",
         per_triple(live)
     );
+    // Measured 194.6 peak bytes and 9.03 allocations per triple with the
+    // triples streamed into the store; the budgets allow 10 % and 5 % more.
     assert!(
-        per_triple(peak) <= 420.0,
-        "{:.1} peak heap bytes per triple during the load (budget 420)",
+        per_triple(peak) <= 215.0,
+        "{:.1} peak heap bytes per triple during the load (budget 215)",
         per_triple(peak)
+    );
+    assert!(
+        per_triple(calls) <= 9.5,
+        "{:.2} allocations per triple during the load (budget 9.5)",
+        per_triple(calls)
     );
 }
