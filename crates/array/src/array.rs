@@ -139,10 +139,6 @@ impl NdArray {
         &self.data
     }
 
-    pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     fn offset(&self, index: &[usize]) -> Result<usize, ShapeError> {
         if index.len() != self.shape.len() {
             return Err(ShapeError(format!(

@@ -6,7 +6,7 @@
 
 pub mod httpload;
 
-use applab_data::{mappings, ParisFixture};
+use applab_data::ParisFixture;
 use applab_geo::{Coord, Envelope};
 use applab_geotriples::parse_mappings;
 use applab_obda::{DataSource, VirtualGraph};
@@ -76,36 +76,21 @@ pub struct GeographicaSetup {
 pub fn geographica_setup(seed: u64, cells: usize) -> GeographicaSetup {
     let fixture = ParisFixture::generate(seed, cells, 8);
     // Materialize through GeoTriples.
+    let tables = fixture.world.tables();
     let mut graph = Graph::new();
-    for (table, doc) in [
-        (fixture.world.osm_table(), mappings::OSM_MAPPING),
-        (fixture.world.gadm_table(), mappings::GADM_MAPPING),
-        (fixture.world.corine_table(), mappings::CORINE_MAPPING),
-        (
-            fixture.world.urban_atlas_table(),
-            mappings::URBAN_ATLAS_MAPPING,
-        ),
-    ] {
+    for (table, doc) in &tables {
         let ms = parse_mappings(doc).expect("static mapping");
         for m in &ms {
-            graph.extend_from(&applab_geotriples::process(m, &table));
+            graph.extend_from(&applab_geotriples::process(m, table));
         }
     }
     let strabon = SpatioTemporalStore::from_graph(&graph);
     let naive = NaiveStore::from_graph(&graph);
     // Virtual graphs over the same tables.
     let mut ds = DataSource::new();
-    ds.add_table(fixture.world.osm_table());
-    ds.add_table(fixture.world.gadm_table());
-    ds.add_table(fixture.world.corine_table());
-    ds.add_table(fixture.world.urban_atlas_table());
     let mut all_mappings = Vec::new();
-    for doc in [
-        mappings::OSM_MAPPING,
-        mappings::GADM_MAPPING,
-        mappings::CORINE_MAPPING,
-        mappings::URBAN_ATLAS_MAPPING,
-    ] {
+    for (table, doc) in tables {
+        ds.add_table(table);
         all_mappings.extend(parse_mappings(doc).expect("static mapping"));
     }
     let ontop = VirtualGraph::new(ds, all_mappings).expect("valid mappings");

@@ -1,18 +1,22 @@
 //! The "greenness of Paris" analysis (Section 4 / Figure 4).
 //!
-//! Loads the Paris fixture into the materialized workflow, correlates LAI
-//! observations with the land cover of the area they fall in, and produces
-//! both the numeric series behind Figure 4 and the Sextant thematic map.
+//! Correlates LAI observations with the land cover of the area they fall
+//! in, and produces both the numeric series behind Figure 4 and the
+//! Sextant thematic map. The analysis is one query asked of any
+//! [`QueryEndpoint`]; [`virtual_workflow`] and [`materialized_workflow`]
+//! build the two endpoints of Section 5 over the Paris fixture.
 
 use crate::endpoint::QueryEndpoint;
 use crate::error::CoreError;
 use crate::materialized::MaterializedWorkflow;
-use applab_data::mappings as m;
+use crate::r#virtual::{VirtualWorkflow, VirtualWorkflowBuilder};
+use applab_data::mappings::opendap_lai_mapping;
 use applab_data::ParisFixture;
-use applab_rdf::{ontology, Graph};
+use applab_rdf::ontology;
 use applab_sextant::map::{figure4_styles, Layer, Map};
 use applab_sextant::style::{Color, Style};
 use applab_sparql::QueryResults;
+use std::time::Duration;
 
 /// One row of the per-class LAI series: (CLC class local name, month
 /// timestamps, mean LAI per month).
@@ -24,14 +28,47 @@ pub struct ClassSeries {
 
 /// The full case-study result.
 pub struct Greenness {
-    pub workflow: MaterializedWorkflow,
     pub per_class: Vec<ClassSeries>,
     pub map: Map,
 }
 
-/// Load the fixture and run the analysis. `sample_cells` limits how many
-/// LAI pixels are materialized as observations (keeps tests fast).
-pub fn run(fixture: &ParisFixture, sample_stride: usize) -> Result<Greenness, CoreError> {
+/// Mean LAI per CORINE class and month: every observation joined with the
+/// land-cover area its point intersects.
+const PER_CLASS_QUERY: &str = r#"SELECT ?class ?t (AVG(?lai) AS ?mean) (COUNT(?lai) AS ?n) WHERE {
+  ?obs a lai:Observation ;
+       lai:hasLai ?lai ;
+       time:hasTime ?t ;
+       geo:hasGeometry ?og .
+  ?og geo:asWKT ?owkt .
+  ?area a clc:CorineArea ;
+        clc:hasCorineValue ?class ;
+        geo:hasGeometry ?ag .
+  ?ag geo:asWKT ?awkt .
+  FILTER(geof:sfIntersects(?awkt, ?owkt))
+} GROUP BY ?class ?t"#;
+
+/// The on-the-fly workflow over the fixture: its LAI product published as
+/// `lai_300m` and mapped by Listing 2, the four vector tables behind their
+/// GeoTriples mappings.
+pub fn virtual_workflow(fixture: &ParisFixture) -> Result<VirtualWorkflow, CoreError> {
+    let mut lai = fixture.lai.clone();
+    lai.name = "lai_300m".into();
+    let mut b = VirtualWorkflowBuilder::local();
+    b.publish(lai);
+    b.add_opendap("lai_300m", "LAI", Duration::from_secs(600));
+    b.add_mappings(&opendap_lai_mapping("lai_300m", 10))?;
+    for (table, doc) in fixture.world.tables() {
+        b.add_table(table);
+        b.add_mappings(doc)?;
+    }
+    b.seal()
+}
+
+/// The materialized workflow over the fixture: the ontologies, the four
+/// vector tables through GeoTriples, then everything the virtual graphs
+/// materialize (the LAI observations; the vector triples are already
+/// stored and deduplicate away).
+pub fn materialized_workflow(fixture: &ParisFixture) -> Result<MaterializedWorkflow, CoreError> {
     let mut wf = MaterializedWorkflow::new();
     // Ontologies first (the "first task of any case study", Section 4).
     for g in [
@@ -43,115 +80,49 @@ pub fn run(fixture: &ParisFixture, sample_stride: usize) -> Result<Greenness, Co
     ] {
         wf.load_graph(&g);
     }
-    // Vector datasets through GeoTriples.
-    wf.load_table(&fixture.world.osm_table(), m::OSM_MAPPING)?;
-    wf.load_table(&fixture.world.gadm_table(), m::GADM_MAPPING)?;
-    wf.load_table(&fixture.world.corine_table(), m::CORINE_MAPPING)?;
-    wf.load_table(&fixture.world.urban_atlas_table(), m::URBAN_ATLAS_MAPPING)?;
-
-    // LAI observations from the gridded product (custom-script path).
-    let mut g = Graph::new();
-    let lai = fixture.lai.variable("LAI").expect("LAI variable");
-    let lats = fixture
-        .lai
-        .coordinate("lat")
-        .expect("lat")
-        .data
-        .data()
-        .to_vec();
-    let lons = fixture
-        .lai
-        .coordinate("lon")
-        .expect("lon")
-        .data
-        .data()
-        .to_vec();
-    let times = fixture
-        .lai
-        .coordinate("time")
-        .expect("time")
-        .data
-        .data()
-        .to_vec();
-    let stride = sample_stride.max(1);
-    for (ti, &t) in times.iter().enumerate() {
-        for (la, &lat) in lats.iter().enumerate().step_by(stride) {
-            for (lo, &lon) in lons.iter().enumerate().step_by(stride) {
-                let v = lai.data.get(&[ti, la, lo]).expect("in bounds");
-                if v.is_nan() {
-                    continue;
-                }
-                applab_store::store::lai_observation(
-                    &mut g,
-                    &format!("obs_{ti}_{la}_{lo}"),
-                    v,
-                    t as i64,
-                    &format!("POINT ({lon} {lat})"),
-                );
-            }
-        }
+    for (table, doc) in &fixture.world.tables() {
+        wf.load_table(table, doc)?;
     }
-    wf.load_graph(&g);
+    wf.load_graph(&virtual_workflow(fixture)?.materialize()?);
+    Ok(wf)
+}
 
-    // Per-class mean LAI per month. One aggregation query per month keeps
-    // the spatial join small.
-    let class_of_query = |t: i64| {
-        format!(
-            r#"SELECT ?class (AVG(?lai) AS ?mean) (COUNT(?lai) AS ?n) WHERE {{
-  ?obs a lai:Observation ;
-       lai:hasLai ?lai ;
-       time:hasTime ?t ;
-       geo:hasGeometry ?og .
-  ?og geo:asWKT ?owkt .
-  ?area a clc:CorineArea ;
-        clc:hasCorineValue ?class ;
-        geo:hasGeometry ?ag .
-  ?ag geo:asWKT ?awkt .
-  FILTER(?t = "{}"^^xsd:dateTime)
-  FILTER(geof:sfIntersects(?awkt, ?owkt))
-}} GROUP BY ?class"#,
-            applab_rdf::datetime::format_datetime(t)
-        )
-    };
-    // The analysis below only needs the uniform query surface: it runs
-    // unchanged over any backend that implements [`QueryEndpoint`].
-    let endpoint: &dyn QueryEndpoint = &wf;
+/// Run the analysis against an endpoint: the per-class monthly series
+/// (classes by name, months in order) and the Figure 4 map.
+pub fn run(endpoint: &dyn QueryEndpoint) -> Result<Greenness, CoreError> {
+    let r = endpoint.query(PER_CLASS_QUERY)?;
     let mut per_class: Vec<ClassSeries> = Vec::new();
-    for &t in &times {
-        let t = t as i64;
-        let r = endpoint.query(&class_of_query(t))?;
-        for i in 0..r.len() {
-            let class = r
-                .value(i, "class")
-                .and_then(|v| v.as_named())
-                .map(|n| n.local_name().to_string())
-                .unwrap_or_default();
-            let mean = r
-                .value(i, "mean")
-                .and_then(|v| v.as_literal())
-                .and_then(applab_rdf::Literal::as_f64)
-                .unwrap_or(f64::NAN);
-            match per_class.iter_mut().find(|c| c.class == class) {
-                Some(c) => c.series.push((t, mean)),
-                None => per_class.push(ClassSeries {
-                    class,
-                    series: vec![(t, mean)],
-                }),
-            }
+    for i in 0..r.len() {
+        let class = r
+            .value(i, "class")
+            .and_then(|v| v.as_named())
+            .map(|n| n.local_name().to_string())
+            .unwrap_or_default();
+        let literal = |var: &str| r.value(i, var).and_then(|v| v.as_literal());
+        let t = literal("t").and_then(applab_rdf::Literal::as_datetime);
+        let t = t.ok_or_else(|| CoreError::Source(format!("row {i}: no month")))?;
+        let mean = literal("mean")
+            .and_then(applab_rdf::Literal::as_f64)
+            .unwrap_or(f64::NAN);
+        match per_class.iter_mut().find(|c| c.class == class) {
+            Some(c) => c.series.push((t, mean)),
+            None => per_class.push(ClassSeries {
+                class,
+                series: vec![(t, mean)],
+            }),
         }
     }
     per_class.sort_by(|a, b| a.class.cmp(&b.class));
+    for c in &mut per_class {
+        c.series.sort_by_key(|&(t, _)| t);
+    }
 
     let map = build_map(endpoint)?;
-    Ok(Greenness {
-        workflow: wf,
-        per_class,
-        map,
-    })
+    Ok(Greenness { per_class, map })
 }
 
 /// Does the headline observation of Figure 4 hold: green urban areas show
-/// higher LAI than industrial areas in every sampled month?
+/// higher LAI than industrial areas in every month both series cover?
 pub fn green_beats_industrial(per_class: &[ClassSeries]) -> Option<bool> {
     let green = per_class.iter().find(|c| c.class == "GreenUrbanAreas")?;
     let industrial = per_class
@@ -260,7 +231,7 @@ mod tests {
     #[test]
     fn figure4_reproduction_small() {
         let fixture = ParisFixture::generate(2019, 16, 24);
-        let result = run(&fixture, 3).unwrap();
+        let result = run(&materialized_workflow(&fixture).unwrap()).unwrap();
         assert!(!result.per_class.is_empty());
         // The headline claim of Figure 4.
         assert_eq!(green_beats_industrial(&result.per_class), Some(true));

@@ -5,20 +5,14 @@
 //! are exactly the per-row expansions of the mapping's templates.
 
 use applab_core::MaterializedWorkflow;
-use applab_data::{mappings as m, ParisFixture};
+use applab_data::ParisFixture;
 use applab_geotriples::{for_each_triple, parse_mappings, process, TabularSource};
 use applab_rdf::{Graph, Triple};
 use applab_sparql::GraphSource;
 use applab_store::SpatioTemporalStore;
 
-fn tables() -> Vec<(TabularSource, &'static str)> {
-    let world = ParisFixture::generate(2019, 40, 2).world;
-    vec![
-        (world.osm_table(), m::OSM_MAPPING),
-        (world.gadm_table(), m::GADM_MAPPING),
-        (world.corine_table(), m::CORINE_MAPPING),
-        (world.urban_atlas_table(), m::URBAN_ATLAS_MAPPING),
-    ]
+fn tables() -> [(TabularSource, &'static str); 4] {
+    ParisFixture::generate(2019, 40, 2).world.tables()
 }
 
 #[test]

@@ -106,14 +106,6 @@ impl DapClient {
             Some(Arc::new(ResilienceState::new(config, clock, seed)));
     }
 
-    /// Drop back to fail-on-first-error.
-    pub fn disable_resilience(&self) {
-        *self
-            .resilience
-            .write()
-            .unwrap_or_else(PoisonError::into_inner) = None;
-    }
-
     /// The active resilience state, if any (tests, diagnostics).
     pub fn resilience(&self) -> Option<Arc<ResilienceState>> {
         self.resilience
@@ -235,19 +227,6 @@ impl DapClient {
             "dods",
             &|| self.server.dods(dataset, constraint, self.token.as_deref()),
             &|payload| dods::decode(&payload),
-        )
-    }
-
-    /// Fetch the NcML document (DAS + DDS in one response).
-    pub fn get_ncml(&self, dataset: &str) -> Result<String, DapError> {
-        self.fetch(
-            dataset,
-            "ncml",
-            &|| {
-                crate::ncml_service::render(&self.server, dataset, self.token.as_deref())
-                    .map(String::into_bytes)
-            },
-            &utf8,
         )
     }
 

@@ -369,6 +369,19 @@ impl World {
         }
     }
 
+    /// The four vector tables of the case study, each with its GeoTriples
+    /// mapping, in load order: OSM, GADM, CORINE, Urban Atlas. The order
+    /// fixes the store's dictionary ids, so callers load them as given.
+    pub fn tables(&self) -> [(TabularSource, &'static str); 4] {
+        use crate::mappings as m;
+        [
+            (self.osm_table(), m::OSM_MAPPING),
+            (self.gadm_table(), m::GADM_MAPPING),
+            (self.corine_table(), m::CORINE_MAPPING),
+            (self.urban_atlas_table(), m::URBAN_ATLAS_MAPPING),
+        ]
+    }
+
     pub fn osm_table(&self) -> TabularSource {
         let rows = self
             .pois

@@ -126,19 +126,6 @@ impl Geometry {
         Geometry::Polygon(Polygon::rect(min_x, min_y, max_x, max_y))
     }
 
-    /// The simple-features name (`Point`, `Polygon`, ...), as used in WKT.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Geometry::Point(_) => "Point",
-            Geometry::MultiPoint(_) => "MultiPoint",
-            Geometry::LineString(_) => "LineString",
-            Geometry::MultiLineString(_) => "MultiLineString",
-            Geometry::Polygon(_) => "Polygon",
-            Geometry::MultiPolygon(_) => "MultiPolygon",
-            Geometry::GeometryCollection(_) => "GeometryCollection",
-        }
-    }
-
     /// Topological dimension: 0 for points, 1 for lines, 2 for areas.
     /// Collections report the maximum dimension of their members.
     pub fn dimension(&self) -> u8 {

@@ -443,11 +443,6 @@ fn sample_line(l: &LineString) -> Vec<Coord> {
     out
 }
 
-/// Does a polygon's ring wind counter-clockwise?
-pub fn ring_is_ccw(ring: &[Coord]) -> bool {
-    crate::algorithms::signed_ring_area(ring) > 0.0
-}
-
 /// Point-in-ring re-export used by the store's spatial filters.
 pub fn point_in_ring(p: Coord, ring: &[Coord]) -> bool {
     locate_in_ring(p, ring) != RingPosition::Outside

@@ -69,10 +69,6 @@ impl DataSource {
             .insert(format!("opendap:{dataset}:{variable}"), table);
     }
 
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(String::as_str).collect()
-    }
-
     /// The base-table rows a source query selects, borrowed and
     /// unprojected, without counting a source query. `None` for a virtual
     /// table or a missing base table.

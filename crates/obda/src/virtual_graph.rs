@@ -85,10 +85,6 @@ impl VirtualGraph {
         })
     }
 
-    pub fn mapping_count(&self) -> usize {
-        self.mappings.len()
-    }
-
     /// Fetch a mapping's source rows, through the base-table cache when
     /// there is no access-path hint.
     fn rows_for(

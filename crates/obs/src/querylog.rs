@@ -414,15 +414,6 @@ impl QueryLog {
         self.enqueue(self.render(record))
     }
 
-    /// Like [`QueryLog::log`] but takes ownership, letting the record's
-    /// strings drop on the calling thread right after serialization.
-    pub fn log_owned(&self, record: QueryLogRecord) -> bool {
-        if !self.should_log(&record) {
-            return false;
-        }
-        self.enqueue(self.render(&record))
-    }
-
     /// Serialize into a recycled line buffer when one is available.
     fn render(&self, record: &QueryLogRecord) -> String {
         let mut buf = self

@@ -6,7 +6,6 @@
 //! which N-Triples is a strict subset).
 
 use crate::graph::Graph;
-use crate::term::Triple;
 use crate::turtle::{parse_turtle, TurtleError};
 use std::fmt::Write;
 
@@ -15,15 +14,6 @@ use std::fmt::Write;
 pub fn write_ntriples(graph: &Graph) -> String {
     let mut out = String::new();
     for t in graph.iter() {
-        let _ = writeln!(out, "{t}");
-    }
-    out
-}
-
-/// Serialize a slice of triples as N-Triples.
-pub fn write_ntriples_slice(triples: &[Triple]) -> String {
-    let mut out = String::new();
-    for t in triples {
         let _ = writeln!(out, "{t}");
     }
     out

@@ -172,11 +172,6 @@ impl Budget {
         self
     }
 
-    /// Whether the budget can ever trip.
-    pub fn is_limited(&self) -> bool {
-        self.deadline.is_some() || self.cancel.is_some()
-    }
-
     /// The absolute deadline instant, if one is set. This is what
     /// [`evaluate_with`] installs as the thread's
     /// [`applab_obs::deadline`] scope, so layers below the evaluator

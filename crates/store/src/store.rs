@@ -136,16 +136,6 @@ impl SpatioTemporalStore {
         self.len() == 0
     }
 
-    /// Number of entries in the spatial index.
-    pub fn spatial_len(&self) -> usize {
-        self.spatial.len()
-    }
-
-    /// Number of entries in the temporal index.
-    pub fn temporal_len(&self) -> usize {
-        self.temporal.len()
-    }
-
     /// Insert one triple. Returns `false` if it was already present. A new
     /// triple is pending until the next [`finish_load`](Self::finish_load).
     pub fn insert(&mut self, triple: Triple) -> bool {
@@ -442,8 +432,7 @@ pub fn load_turtle(text: &str) -> Result<SpatioTemporalStore, applab_rdf::turtle
 }
 
 /// Convenience: build a LAI observation entity (the shape Listing 2's
-/// mapping produces) directly into a graph. Used by tests, benches and the
-/// synthetic data generators.
+/// mapping produces) directly into a graph. Used by tests.
 pub fn lai_observation(graph: &mut Graph, id: &str, lai: f64, timestamp: i64, wkt: &str) {
     use applab_rdf::vocab;
     let obs = Resource::named(format!("{}{id}", vocab::lai::NS));

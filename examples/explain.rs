@@ -22,7 +22,7 @@ use applab_bench::geographica_queries;
 use copernicus_app_lab::core::{
     Explain, MaterializedWorkflow, QueryEndpoint, VirtualWorkflowBuilder,
 };
-use copernicus_app_lab::data::{mappings, ParisFixture};
+use copernicus_app_lab::data::ParisFixture;
 use copernicus_app_lab::sparql::QueryResults;
 
 fn rows(r: &QueryResults) -> usize {
@@ -57,15 +57,7 @@ fn assert_spatial_join(backend: &str, explain: &Explain) {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fixture = ParisFixture::generate(2019, 20, 8);
-    let tables = [
-        (fixture.world.osm_table(), mappings::OSM_MAPPING),
-        (fixture.world.gadm_table(), mappings::GADM_MAPPING),
-        (fixture.world.corine_table(), mappings::CORINE_MAPPING),
-        (
-            fixture.world.urban_atlas_table(),
-            mappings::URBAN_ATLAS_MAPPING,
-        ),
-    ];
+    let tables = fixture.world.tables();
 
     // Left path: materialize through GeoTriples into the store.
     let mut mat = MaterializedWorkflow::new();

@@ -15,22 +15,14 @@
 
 use applab_bench::geographica_queries;
 use copernicus_app_lab::core::{MaterializedWorkflow, VirtualWorkflowBuilder};
-use copernicus_app_lab::data::{mappings, ParisFixture};
+use copernicus_app_lab::data::ParisFixture;
 use copernicus_app_lab::obs::{FlightRecorder, QueryLog, SamplingPolicy, VecSink};
 use copernicus_app_lab::service::{ApplabService, ServiceConfig};
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fixture = ParisFixture::generate(2019, 16, 8);
-    let tables = [
-        (fixture.world.osm_table(), mappings::OSM_MAPPING),
-        (fixture.world.gadm_table(), mappings::GADM_MAPPING),
-        (fixture.world.corine_table(), mappings::CORINE_MAPPING),
-        (
-            fixture.world.urban_atlas_table(),
-            mappings::URBAN_ATLAS_MAPPING,
-        ),
-    ];
+    let tables = fixture.world.tables();
     let mut mat = MaterializedWorkflow::new();
     let mut builder = VirtualWorkflowBuilder::local();
     for (table, doc) in tables {

@@ -11,7 +11,7 @@
 //! both POST forms) and `/metrics` answer until the process is killed.
 
 use copernicus_app_lab::core::MaterializedWorkflow;
-use copernicus_app_lab::data::{mappings, ParisFixture};
+use copernicus_app_lab::data::ParisFixture;
 use copernicus_app_lab::http::{HttpConfig, HttpServer};
 use copernicus_app_lab::service::{ApplabService, ServiceConfig};
 use std::sync::Arc;
@@ -23,15 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_or_else(|| "127.0.0.1:0".into());
     let fixture = ParisFixture::generate(2019, 12, 8);
     let mut mat = MaterializedWorkflow::new();
-    for (table, doc) in [
-        (fixture.world.osm_table(), mappings::OSM_MAPPING),
-        (fixture.world.gadm_table(), mappings::GADM_MAPPING),
-        (fixture.world.corine_table(), mappings::CORINE_MAPPING),
-        (
-            fixture.world.urban_atlas_table(),
-            mappings::URBAN_ATLAS_MAPPING,
-        ),
-    ] {
+    for (table, doc) in fixture.world.tables() {
         mat.load_table(&table, doc)?;
     }
     let service = ApplabService::new(ServiceConfig {

@@ -6,6 +6,7 @@
 
 use copernicus_app_lab::catalog::schema_org::corine_annotation;
 use copernicus_app_lab::catalog::{CatalogIndex, SearchQuery};
+use copernicus_app_lab::core::greenness;
 use copernicus_app_lab::core::{MaterializedWorkflow, VirtualWorkflowBuilder};
 use copernicus_app_lab::data::{grids, mappings, ParisFixture};
 use copernicus_app_lab::geo::Coord;
@@ -61,6 +62,28 @@ fn materialized_and_virtual_workflows_agree() {
             rows
         };
         assert_eq!(norm(&a), norm(&b), "workflows disagree on {q}");
+    }
+}
+
+/// F4 (Figure 4) is one answer whichever workflow is asked: the per-class
+/// monthly means are equal to the bit, the headline observation holds on
+/// both, and the map's layers carry the same features.
+#[test]
+fn figure4_is_one_answer_on_both_workflows() {
+    let fixture = ParisFixture::generate(2019, 16, 24);
+    let store = greenness::run(&greenness::materialized_workflow(&fixture).unwrap()).unwrap();
+    let on_the_fly = greenness::run(&greenness::virtual_workflow(&fixture).unwrap()).unwrap();
+
+    assert!(!store.per_class.is_empty());
+    // The means are finite and positive, where `==` is equality of bits.
+    assert_eq!(store.per_class, on_the_fly.per_class);
+    for g in [&store, &on_the_fly] {
+        assert_eq!(greenness::green_beats_industrial(&g.per_class), Some(true));
+        assert_eq!(g.map.layers.len(), 4);
+        assert_eq!(g.map.timeline().len(), 12);
+    }
+    for (a, b) in store.map.layers.iter().zip(&on_the_fly.map.layers) {
+        assert_eq!(a.features.len(), b.features.len(), "layer {}", a.title);
     }
 }
 

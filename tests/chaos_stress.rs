@@ -79,15 +79,7 @@ fn build_workflow(
     let chaos = Arc::new(ChaosTransport::new(Arc::new(Local::new()), config, seed));
     let mut b = VirtualWorkflowBuilder::with_transport_and_clock(chaos.clone(), clock.clone());
     b.publish(lai);
-    for (table, doc) in [
-        (fixture.world.osm_table(), mappings::OSM_MAPPING),
-        (fixture.world.gadm_table(), mappings::GADM_MAPPING),
-        (fixture.world.corine_table(), mappings::CORINE_MAPPING),
-        (
-            fixture.world.urban_atlas_table(),
-            mappings::URBAN_ATLAS_MAPPING,
-        ),
-    ] {
+    for (table, doc) in fixture.world.tables() {
         b.add_table(table);
         b.add_mappings(doc).unwrap();
     }

@@ -24,7 +24,7 @@
 use applab_bench::geographica_queries;
 use applab_bench::httpload::{percent_encode, HttpClient, HttpResponse};
 use copernicus_app_lab::core::{CoreError, Explain, MaterializedWorkflow, QueryEndpoint};
-use copernicus_app_lab::data::{mappings, ParisFixture};
+use copernicus_app_lab::data::ParisFixture;
 use copernicus_app_lab::http::{HttpConfig, HttpServer, SocketChaos};
 use copernicus_app_lab::obs::FlightRecorder;
 use copernicus_app_lab::service::{ApplabService, ServiceConfig};
@@ -92,15 +92,7 @@ fn harness_service() -> Arc<ApplabService> {
     Arc::clone(SERVICE.get_or_init(|| {
         let fixture = ParisFixture::generate(5, 12, 8);
         let mut mat = MaterializedWorkflow::new();
-        for (table, doc) in [
-            (fixture.world.osm_table(), mappings::OSM_MAPPING),
-            (fixture.world.gadm_table(), mappings::GADM_MAPPING),
-            (fixture.world.corine_table(), mappings::CORINE_MAPPING),
-            (
-                fixture.world.urban_atlas_table(),
-                mappings::URBAN_ATLAS_MAPPING,
-            ),
-        ] {
+        for (table, doc) in fixture.world.tables() {
             mat.load_table(&table, doc).unwrap();
         }
         Arc::new(

@@ -12,7 +12,7 @@
 use applab_bench::geographica_queries;
 use applab_bench::httpload::{percent_encode, HttpClient};
 use copernicus_app_lab::core::{MaterializedWorkflow, VirtualWorkflowBuilder};
-use copernicus_app_lab::data::{mappings, ParisFixture};
+use copernicus_app_lab::data::ParisFixture;
 use copernicus_app_lab::http::{HttpConfig, HttpServer};
 use copernicus_app_lab::service::{ApplabService, ServiceConfig};
 use copernicus_app_lab::sparql::JSON_FLUSH_BYTES;
@@ -33,15 +33,7 @@ fn harness() -> &'static Harness {
     static HARNESS: OnceLock<Harness> = OnceLock::new();
     HARNESS.get_or_init(|| {
         let fixture = ParisFixture::generate(7, 12, 8);
-        let tables = [
-            (fixture.world.osm_table(), mappings::OSM_MAPPING),
-            (fixture.world.gadm_table(), mappings::GADM_MAPPING),
-            (fixture.world.corine_table(), mappings::CORINE_MAPPING),
-            (
-                fixture.world.urban_atlas_table(),
-                mappings::URBAN_ATLAS_MAPPING,
-            ),
-        ];
+        let tables = fixture.world.tables();
         let mut mat = MaterializedWorkflow::new();
         for (table, doc) in &tables {
             mat.load_table(table, doc).unwrap();

@@ -24,15 +24,7 @@ const LAI_QUERY: &str = "SELECT DISTINCT ?s ?wkt ?lai WHERE { ?s lai:hasLai ?lai
 /// `applab_service_outcomes_total` label series in the global registry.
 fn build_service(store_name: &str, obda_name: &str) -> ApplabService {
     let fixture = ParisFixture::generate(5, 12, 8);
-    let tables = [
-        (fixture.world.osm_table(), mappings::OSM_MAPPING),
-        (fixture.world.gadm_table(), mappings::GADM_MAPPING),
-        (fixture.world.corine_table(), mappings::CORINE_MAPPING),
-        (
-            fixture.world.urban_atlas_table(),
-            mappings::URBAN_ATLAS_MAPPING,
-        ),
-    ];
+    let tables = fixture.world.tables();
 
     let mut mat = MaterializedWorkflow::new();
     for (table, doc) in &tables {

@@ -6,7 +6,7 @@
 
 use applab_bench::geographica_queries;
 use copernicus_app_lab::core::{CoreError, MaterializedWorkflow, VirtualWorkflowBuilder};
-use copernicus_app_lab::data::{mappings, ParisFixture};
+use copernicus_app_lab::data::ParisFixture;
 use copernicus_app_lab::obs::{QueryLog, QueryLogRecord, SamplingPolicy, VecSink};
 use copernicus_app_lab::service::{ApplabService, QueryRequest, ServiceConfig};
 use std::collections::HashMap;
@@ -16,15 +16,7 @@ use std::time::Duration;
 /// Both workflows over the same synthetic Paris tables, behind one service.
 fn build_service() -> ApplabService {
     let fixture = ParisFixture::generate(7, 14, 8);
-    let tables = [
-        (fixture.world.osm_table(), mappings::OSM_MAPPING),
-        (fixture.world.gadm_table(), mappings::GADM_MAPPING),
-        (fixture.world.corine_table(), mappings::CORINE_MAPPING),
-        (
-            fixture.world.urban_atlas_table(),
-            mappings::URBAN_ATLAS_MAPPING,
-        ),
-    ];
+    let tables = fixture.world.tables();
 
     let mut mat = MaterializedWorkflow::new();
     for (table, doc) in &tables {

@@ -7,7 +7,7 @@
 //! the figures.
 
 use applab_core::MaterializedWorkflow;
-use applab_data::{mappings as m, ParisFixture};
+use applab_data::ParisFixture;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -59,13 +59,7 @@ static ALLOCATOR: Counting = Counting;
 #[test]
 fn loading_the_paris_tables_stays_within_its_heap_budget() {
     let fixture = ParisFixture::generate(2019, 40, 2);
-    let world = &fixture.world;
-    let tables = [
-        (world.osm_table(), m::OSM_MAPPING),
-        (world.gadm_table(), m::GADM_MAPPING),
-        (world.corine_table(), m::CORINE_MAPPING),
-        (world.urban_atlas_table(), m::URBAN_ATLAS_MAPPING),
-    ];
+    let tables = fixture.world.tables();
 
     let before = LIVE.load(Relaxed);
     PEAK.store(before, Relaxed);
