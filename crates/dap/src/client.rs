@@ -247,12 +247,6 @@ impl DapClient {
             },
         )
     }
-
-    /// Dataset names visible on the server, swallowing failures (legacy
-    /// shape — prefer [`DapClient::try_list_datasets`]).
-    pub fn list_datasets(&self) -> Vec<String> {
-        self.try_list_datasets().unwrap_or_default()
-    }
 }
 
 #[cfg(test)]
@@ -327,7 +321,6 @@ mod tests {
         assert_eq!(vars[0].data.get(&[0, 1, 1]).unwrap(), 3.0);
         assert!(client.bytes_received() > 0);
         assert_eq!(client.round_trips(), 3);
-        assert_eq!(client.list_datasets(), vec!["lai".to_string()]);
         assert_eq!(client.try_list_datasets().unwrap(), vec!["lai".to_string()]);
     }
 

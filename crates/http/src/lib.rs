@@ -17,8 +17,7 @@
 //!   materialized once and sent with an exact `Content-Length`; anything
 //!   past one serializer flush window streams as `Transfer-Encoding:
 //!   chunked` straight off [`QueryResults::write_json`]'s 8 KiB windows,
-//!   so the service never holds a large response in one allocation
-//!   (the [`QueryOutcome::is_streamable`] decision);
+//!   so the service never holds a large response in one allocation;
 //! * **`/metrics`** — the `applab-obs` registry in Prometheus text
 //!   exposition format; **`/healthz`** — a liveness probe;
 //! * **typed failures** — every [`CoreError`] maps through
@@ -49,7 +48,6 @@
 //!
 //! [`CoreError`]: applab_core::CoreError
 //! [`CoreError::http_status`]: applab_core::CoreError::http_status
-//! [`QueryOutcome::is_streamable`]: applab_service::QueryOutcome::is_streamable
 //! [`QueryResults::write_json`]: applab_sparql::QueryResults::write_json
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]

@@ -148,11 +148,6 @@ impl Admission {
         (st.in_flight, st.queued)
     }
 
-    /// The smoothed queue wait the shedder is acting on.
-    pub(crate) fn queue_delay_ewma(&self) -> Duration {
-        Duration::from_secs_f64(self.delay_ewma.value().max(0.0))
-    }
-
     /// Fold a measured queue wait into the smoothed delay and mirror it
     /// to the gauge (microseconds — the gauge is integral).
     fn observe_wait(&self, wait: Duration) {
@@ -266,7 +261,7 @@ mod tests {
         let adm = Admission::new(1, 8, Some(target));
         let permit = adm.acquire(Duration::ZERO).unwrap();
         // Drive the EWMA above the target with queue-wait timeouts.
-        while adm.queue_delay_ewma() <= target {
+        while adm.delay_ewma.value() <= target.as_secs_f64() {
             let r = adm.acquire(Duration::from_millis(15)).unwrap_err();
             assert_eq!(r.kind, "queue_timeout");
         }
@@ -275,7 +270,7 @@ mod tests {
         assert!(shed.retry_after >= Duration::from_secs(1));
         drop(permit);
         // Uncontended grants observe zero wait and decay the average.
-        while adm.queue_delay_ewma() > target {
+        while adm.delay_ewma.value() > target.as_secs_f64() {
             drop(adm.acquire(Duration::ZERO).unwrap());
         }
         let p = adm.acquire(Duration::ZERO).unwrap();

@@ -214,55 +214,6 @@ impl QueryOutcome {
     pub fn results(&self) -> Option<&QueryResults> {
         self.result.as_ref().ok()
     }
-
-    /// Stream the results as SPARQL JSON straight to `w` (the wire path
-    /// for HTTP responses). The serialization is flushed in bounded chunks
-    /// — see [`QueryResults::write_json`] — so the service never holds a
-    /// whole large result document in memory. Returns `Ok(true)` after
-    /// streaming, `Ok(false)` when there are no results to serialize
-    /// (rejected or failed queries write nothing).
-    pub fn write_json_results<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<bool> {
-        match &self.result {
-            Ok(results) => {
-                results.write_json(w)?;
-                Ok(true)
-            }
-            Err(_) => Ok(false),
-        }
-    }
-
-    /// An estimate of the serialized results-JSON size in bytes, or
-    /// `None` for rejected/failed queries (their error body is framed by
-    /// the transport, not by this outcome).
-    ///
-    /// The value is a *hint* (see
-    /// [`QueryResults::json_size_estimate`](applab_sparql::QueryResults::json_size_estimate)
-    /// — string escaping is not accounted for), so it must never be sent
-    /// as a `Content-Length`. It exists so a transport can pick its
-    /// response framing before serializing anything: small documents are
-    /// worth materializing once for exact fixed-length framing, large
-    /// ones should stream.
-    pub fn content_length_hint(&self) -> Option<u64> {
-        self.result
-            .as_ref()
-            .ok()
-            .map(QueryResults::json_size_estimate)
-    }
-
-    /// Whether the results are big enough that streaming them in bounded
-    /// chunks beats materializing the document: true once the
-    /// [`content_length_hint`](Self::content_length_hint) passes one
-    /// serializer flush window
-    /// ([`JSON_FLUSH_BYTES`](applab_sparql::JSON_FLUSH_BYTES)). The HTTP
-    /// layer maps this directly onto its framing decision: streamable →
-    /// `Transfer-Encoding: chunked` via
-    /// [`write_json_results`](Self::write_json_results), otherwise one
-    /// `to_json` pass with an exact `Content-Length`. Rejected and failed
-    /// queries are never streamable.
-    pub fn is_streamable(&self) -> bool {
-        self.content_length_hint()
-            .is_some_and(|hint| hint >= applab_sparql::JSON_FLUSH_BYTES as u64)
-    }
 }
 
 /// A shared, thread-safe query service over named workflow endpoints.
@@ -340,13 +291,6 @@ impl ApplabService {
     /// Current `(in_flight, queued)` load snapshot.
     pub fn load(&self) -> (usize, usize) {
         self.admission.load()
-    }
-
-    /// The smoothed (EWMA) queue-wait estimate driving the adaptive
-    /// shedder (see [`ServiceConfig::queue_delay_target`]). Also exposed
-    /// as the `applab_service_queue_delay_ewma_us` gauge.
-    pub fn queue_delay_ewma(&self) -> Duration {
-        self.admission.queue_delay_ewma()
     }
 
     /// Serve one query with the service-wide defaults.
@@ -796,57 +740,6 @@ mod tests {
         assert_eq!(out.stats.queue_wait_ns, out.queue_wait.as_nanos() as u64);
         assert!(out.stats.queue_wait_ns <= before.elapsed().as_nanos() as u64);
         assert!(!out.stats.degraded);
-    }
-
-    /// The wire framing decision: small results report a size hint and
-    /// stay unstreamed, large ones flip `is_streamable`, and failures
-    /// report neither.
-    #[test]
-    fn framing_hints_follow_result_size() {
-        struct SizedEndpoint {
-            rows: usize,
-        }
-        impl QueryEndpoint for SizedEndpoint {
-            fn query_with(
-                &self,
-                _sparql: &str,
-                _options: &EvalOptions,
-            ) -> Result<QueryResults, CoreError> {
-                Ok(QueryResults::Solutions {
-                    variables: vec!["s".into()],
-                    rows: (0..self.rows)
-                        .map(|i| Row {
-                            values: vec![Some(applab_rdf::Term::named(format!(
-                                "http://example.org/resource/{i}"
-                            )))],
-                        })
-                        .collect(),
-                })
-            }
-            fn query_explained(&self, _sparql: &str) -> Result<Explain, CoreError> {
-                unimplemented!("not used")
-            }
-            fn backend(&self) -> &'static str {
-                "fake"
-            }
-        }
-        let svc = ApplabService::new(ServiceConfig::default())
-            .with_endpoint("small", Arc::new(SizedEndpoint { rows: 3 }))
-            .with_endpoint("large", Arc::new(SizedEndpoint { rows: 5000 }));
-
-        let small = svc.query("small", "SELECT 1");
-        let hint = small.content_length_hint().expect("ok results have a hint");
-        let actual = small.results().unwrap().to_json().len() as u64;
-        assert!(hint.abs_diff(actual) * 10 <= actual, "{hint} vs {actual}");
-        assert!(!small.is_streamable(), "3 rows fit fixed-length framing");
-
-        let large = svc.query("large", "SELECT 1");
-        assert!(large.is_streamable(), "5000 rows must stream");
-        assert!(large.content_length_hint().unwrap() >= applab_sparql::JSON_FLUSH_BYTES as u64);
-
-        let failed = svc.query("nope", "SELECT 1");
-        assert_eq!(failed.content_length_hint(), None);
-        assert!(!failed.is_streamable());
     }
 
     /// Delivery inside the permit: a successful `deliver` records the

@@ -6,20 +6,24 @@
 //! **columnar batches** (`batch::Batch`): one fixed-width `u64`
 //! id column per variable slot plus a validity bitmap, indexed by a
 //! per-query variable table (`Slots`). Each triple pattern of a BGP is
-//! scanned exactly once into a batch (id-level sources emit whole columns
-//! directly); batches are then combined with hash joins on the shared
-//! variable slots, smallest (connected) batch first. A join builds one
+//! scanned exactly once into a batch, in the order [`plan::order_patterns`]
+//! chooses from the source's seal-time statistics, and joined at once with
+//! a hash join on the shared variable slots. A join builds one
 //! `(probe row, build row)` pair list and materializes the output with a
 //! single column-at-a-time gather; FILTER evaluates its compiled conjuncts
 //! over [`EvalOptions::batch_size`]-row windows and gathers the passing
 //! rows. Terms are only decoded at FILTER / projection boundaries — late
 //! materialization in the Strabon style.
 //!
+//! Every source is scanned by one routine: each pattern position resolves
+//! to a constant id or a variable slot, the source returns the match
+//! columns, and those columns become the batch. Only the fetch differs.
 //! Sources that store triples as dictionary ids (the spatiotemporal store)
-//! expose them through [`crate::source::IdAccess`]; scans then yield native
-//! id triples and join keys are integer comparisons end to end. All other
-//! sources keep the decoded-triple contract and the evaluator interns terms
-//! into a query-local overflow dictionary.
+//! expose them through [`crate::source::IdAccess`] and scan their own ids
+//! straight into the columns, so join keys are integer comparisons end to
+//! end. All other sources keep the decoded-triple contract, and the
+//! evaluator interns the terms they return into a query-local overflow
+//! dictionary.
 //!
 //! Three further optimizations mirror Strabon/Ontop-spatial:
 //!
@@ -54,7 +58,7 @@ use crate::plan;
 use crate::results::{QueryResults, Row};
 use crate::source::{GraphSource, IdAccess, IdColumns};
 use applab_geo::{Envelope, Geometry, RTree, SpatialRelation};
-use applab_rdf::{vocab, Graph, Literal, NamedNode, Resource, Term, Triple};
+use applab_rdf::{vocab, Graph, Literal, Resource, Term, Triple};
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -1597,249 +1601,148 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Scan one triple pattern into a batch, plus the variable slots the
-    /// batch binds. An empty batch means the pattern provably matches
-    /// nothing.
+    /// batch binds. Every source takes the same three steps: each position
+    /// resolves to a constant id (a term, or a variable the single input
+    /// row binds) or to a variable slot, [`Self::fetch_ids`] returns the
+    /// match columns, and the columns of the slot positions become the
+    /// batch. An empty batch means the pattern provably matches nothing.
     fn scan_column(
         &mut self,
         pattern: &TriplePattern,
         subst: Option<&[Option<u64>]>,
         constraints: &Constraints,
     ) -> (Batch, Vec<usize>) {
-        if let Some(native) = self.interner.native {
-            return self.scan_column_native(native, pattern, subst, constraints);
-        }
-        self.scan_column_decoded(pattern, subst, constraints)
-    }
-
-    /// Id-level scan against an [`IdAccess`] source: no term decoding at
-    /// all, and the source writes its match columns directly into the
-    /// output batch ([`IdAccess::scan_ids_columns`]) — no per-row tuple
-    /// allocation on the hot path.
-    fn scan_column_native(
-        &mut self,
-        native: &dyn IdAccess,
-        pattern: &TriplePattern,
-        subst: Option<&[Option<u64>]>,
-        constraints: &Constraints,
-    ) -> (Batch, Vec<usize>) {
         let width = self.slots.width;
-        let base = self.interner.base;
-        // Each position resolves to a constant id, a variable slot, or a
-        // proof that the pattern cannot match (term/local id absent from
-        // the store dictionary).
-        let resolve = |tp: &TermPattern| -> Result<(Option<u64>, Option<usize>), ()> {
+        let mut ids = [None; 3];
+        let mut slots = [None; 3];
+        for (i, tp) in [&pattern.subject, &pattern.predicate, &pattern.object]
+            .into_iter()
+            .enumerate()
+        {
             match tp {
-                TermPattern::Term(t) => match native.term_to_id(t) {
-                    Some(id) => Ok((Some(id), None)),
-                    None => Err(()),
-                },
+                TermPattern::Term(t) => ids[i] = Some(self.interner.intern(t)),
                 TermPattern::Var(v) => {
                     let slot = self.slots.get(v).expect("pattern var has a slot");
-                    if let Some(row) = subst {
-                        if let Some(id) = row[slot] {
-                            if id < base {
-                                return Ok((Some(id), None));
-                            }
-                            return Err(()); // query-local term: not in the store
-                        }
+                    match subst.and_then(|row| row[slot]) {
+                        Some(id) => ids[i] = Some(id),
+                        None => slots[i] = Some(slot),
                     }
-                    Ok((None, Some(slot)))
                 }
             }
-        };
-        let Ok((s_c, s_slot)) = resolve(&pattern.subject) else {
-            return (Batch::new(width), Vec::new());
-        };
-        let Ok((p_c, p_slot)) = resolve(&pattern.predicate) else {
-            return (Batch::new(width), Vec::new());
-        };
-        let Ok((o_c, o_slot)) = resolve(&pattern.object) else {
-            return (Batch::new(width), Vec::new());
-        };
-
-        if self.interrupted() {
-            return (Batch::new(width), Vec::new());
         }
 
         // Index pushdown: the object is an unbound variable carrying an
-        // envelope or time-range constraint. Pushdown hits come back as
-        // triple lists (they are small by construction); the unconstrained
-        // path scans straight into columns.
-        let mut cols = IdColumns::default();
-        let pushdown_hit = match (o_c, pattern.object.as_var()) {
-            (None, Some(var)) => {
-                let spatial_hit = constraints
-                    .spatial
-                    .get(var)
-                    .and_then(|env| native.scan_ids_spatial(s_c, p_c, env));
-                let temporal_hit = if spatial_hit.is_none() {
-                    constraints
-                        .temporal
-                        .get(var)
-                        .and_then(|&(lo, hi)| native.scan_ids_temporal(s_c, p_c, lo, hi))
-                } else {
-                    None
-                };
-                spatial_hit.or(temporal_hit)
-            }
-            _ => None,
+        // envelope or time-range constraint.
+        let object_var = pattern.object.as_var().filter(|_| slots[2].is_some());
+        let spatial = object_var.and_then(|v| constraints.spatial.get(v));
+        let temporal = object_var.and_then(|v| constraints.temporal.get(v).copied());
+        let Some((n, cols)) = self.fetch_ids(ids, slots, spatial, temporal) else {
+            return (Batch::new(width), Vec::new());
         };
-        match pushdown_hit {
-            Some(triples) => {
-                cols.reserve(triples.len());
-                for (ts, tp, to) in triples {
-                    cols.push(ts, tp, to);
-                }
-            }
-            None => native.scan_ids_columns(s_c, p_c, o_c, &mut cols),
-        }
         if self.interrupted() {
             return (Batch::new(width), Vec::new());
         }
 
-        let n = cols.s.len();
-        let mut used: Vec<usize> = [s_slot, p_slot, o_slot].into_iter().flatten().collect();
-        used.sort_unstable();
-        used.dedup();
-        let distinct_slots = used.len();
-        let slot_count = [s_slot, p_slot, o_slot].iter().flatten().count();
-
+        // A variable repeated within the pattern (`?x :p ?x`) keeps only the
+        // rows where its positions agree. The selection reads the columns
+        // before they move into the batch.
+        let cols = [cols.s, cols.p, cols.o];
+        let repeats: Vec<(usize, usize)> = [(0, 1), (0, 2), (1, 2)]
+            .into_iter()
+            .filter(|&(a, b)| slots[a].is_some() && slots[a] == slots[b])
+            .collect();
+        let sel: Option<Vec<u32>> = (!repeats.is_empty()).then(|| {
+            (0..n)
+                .filter(|&i| repeats.iter().all(|&(a, b)| cols[a][i] == cols[b][i]))
+                .map(|i| i as u32)
+                .collect()
+        });
         let mut batch = Batch::with_len(width, n);
-        if slot_count == distinct_slots {
-            // No repeated variable: each match column moves into the batch
-            // wholesale.
-            if let Some(s) = s_slot {
-                batch.set_column(s, cols.s);
+        for (slot, col) in slots.into_iter().zip(cols) {
+            if let Some(slot) = slot {
+                batch.set_column(slot, col);
             }
-            if let Some(s) = p_slot {
-                batch.set_column(s, cols.p);
-            }
-            if let Some(s) = o_slot {
-                batch.set_column(s, cols.o);
-            }
-        } else {
-            // A variable repeats within the pattern (`?x :p ?x`): keep only
-            // the rows where the repeated positions agree.
-            let same = |a: Option<usize>, b: Option<usize>, x: u64, y: u64| match a.zip(b) {
-                Some((a, b)) => a != b || x == y,
-                None => true,
-            };
-            let mut sel: Vec<u32> = Vec::with_capacity(n);
-            for i in 0..n {
-                if same(s_slot, p_slot, cols.s[i], cols.p[i])
-                    && same(s_slot, o_slot, cols.s[i], cols.o[i])
-                    && same(p_slot, o_slot, cols.p[i], cols.o[i])
-                {
-                    sel.push(i as u32);
-                }
-            }
-            if let Some(s) = s_slot {
-                batch.set_column(s, cols.s);
-            }
-            if let Some(s) = p_slot {
-                batch.set_column(s, cols.p);
-            }
-            if let Some(s) = o_slot {
-                batch.set_column(s, cols.o);
-            }
+        }
+        if let Some(sel) = sel {
             batch = batch.gather(&sel);
         }
+        let mut used: Vec<usize> = slots.into_iter().flatten().collect();
+        used.sort_unstable();
+        used.dedup();
         (batch, used)
     }
 
-    /// Decoded-triple scan for sources without [`IdAccess`]; results are
-    /// interned into the query-local dictionary.
-    fn scan_column_decoded(
+    /// The match columns of one resolved pattern and how many triples
+    /// matched, or `None` when the pattern provably matches nothing. This
+    /// is the scan's only branch on the source: an [`IdAccess`] source
+    /// scans its own ids straight into the columns; any other source
+    /// returns decoded triples, and only the positions that bind a slot are
+    /// interned (the columns of constant positions stay empty).
+    fn fetch_ids(
         &mut self,
-        pattern: &TriplePattern,
-        subst: Option<&[Option<u64>]>,
-        constraints: &Constraints,
-    ) -> (Batch, Vec<usize>) {
-        let width = self.slots.width;
-        let resolve = |tp: &TermPattern| -> (Option<Term>, Option<usize>) {
-            match tp {
-                TermPattern::Term(t) => (Some(t.clone()), None),
-                TermPattern::Var(v) => {
-                    let slot = self.slots.get(v).expect("pattern var has a slot");
-                    if let Some(row) = subst {
-                        if let Some(id) = row[slot] {
-                            return (Some(self.interner.decode(id).clone()), Some(slot));
-                        }
-                    }
-                    (None, Some(slot))
-                }
+        ids: [Option<u64>; 3],
+        slots: [Option<usize>; 3],
+        spatial: Option<&Envelope>,
+        temporal: Option<(i64, i64)>,
+    ) -> Option<(usize, IdColumns)> {
+        let [s, p, o] = ids;
+        let mut cols = IdColumns::default();
+        if let Some(native) = self.interner.native {
+            // A query-local id names a term the store has never seen.
+            if ids.iter().flatten().any(|&id| id >= self.interner.base) {
+                return None;
             }
-        };
-        let (s_t, s_slot) = resolve(&pattern.subject);
-        let (p_t, p_slot) = resolve(&pattern.predicate);
-        let (o_t, o_slot) = resolve(&pattern.object);
-
-        // A literal in subject position can never match.
-        let s_res: Option<Resource> = match &s_t {
-            Some(Term::Literal(_)) => return (Batch::new(width), Vec::new()),
-            Some(t) => t.as_resource(),
-            None => None,
-        };
-        let p_named: Option<NamedNode> = match &p_t {
-            Some(Term::Named(n)) => Some(n.clone()),
-            Some(_) => return (Batch::new(width), Vec::new()),
-            None => None,
-        };
-
-        let triples = match (&o_t, pattern.object.as_var()) {
-            (None, Some(var)) => {
-                let spatial_hit = constraints.spatial.get(var).and_then(|env| {
-                    self.source
-                        .triples_matching_spatial(s_res.as_ref(), p_named.as_ref(), env)
-                });
-                let temporal_hit = if spatial_hit.is_none() {
-                    constraints.temporal.get(var).and_then(|&(lo, hi)| {
-                        self.source.triples_matching_temporal(
-                            s_res.as_ref(),
-                            p_named.as_ref(),
-                            lo,
-                            hi,
-                        )
-                    })
-                } else {
-                    None
-                };
-                spatial_hit.or(temporal_hit).unwrap_or_else(|| {
-                    self.source
-                        .triples_matching(s_res.as_ref(), p_named.as_ref(), None)
-                })
-            }
-            _ => self
-                .source
-                .triples_matching(s_res.as_ref(), p_named.as_ref(), o_t.as_ref()),
-        };
-
-        let mut batch = Batch::new(width);
-        let mut rowbuf: Vec<Option<u64>> = vec![None; width];
-        'next: for (n, t) in triples.into_iter().enumerate() {
-            if n % CHECK_INTERVAL == 0 && self.interrupted() {
-                return (Batch::new(width), Vec::new());
-            }
-            rowbuf.fill(None);
-            for (slot, term) in [
-                (s_slot, Term::from(t.subject.clone())),
-                (p_slot, Term::Named(t.predicate.clone())),
-                (o_slot, t.object.clone()),
-            ] {
-                if let Some(slot) = slot {
-                    let id = self.interner.intern(&term);
-                    match rowbuf[slot] {
-                        Some(existing) if existing != id => continue 'next,
-                        _ => rowbuf[slot] = Some(id),
+            let hit = spatial
+                .and_then(|env| native.scan_ids_spatial(s, p, env))
+                .or_else(|| temporal.and_then(|(lo, hi)| native.scan_ids_temporal(s, p, lo, hi)));
+            match hit {
+                Some(triples) => {
+                    cols.reserve(triples.len());
+                    for (ts, tp, to) in triples {
+                        cols.push(ts, tp, to);
                     }
                 }
+                None => native.scan_ids_columns(s, p, o, &mut cols),
             }
-            batch.push_row(&rowbuf);
+            return Some((cols.len(), cols));
         }
-        let mut used: Vec<usize> = [s_slot, p_slot, o_slot].into_iter().flatten().collect();
-        used.sort_unstable();
-        used.dedup();
-        (batch, used)
+
+        let term = |id: Option<u64>| id.map(|id| self.interner.decode(id));
+        // A literal subject or a non-IRI predicate can never match.
+        let subject = match term(s) {
+            Some(Term::Literal(_)) => return None,
+            t => t.and_then(Term::as_resource),
+        };
+        let predicate = match term(p) {
+            Some(Term::Named(n)) => Some(n),
+            Some(_) => return None,
+            None => None,
+        };
+        let source = self.source;
+        let triples = spatial
+            .and_then(|env| source.triples_matching_spatial(subject.as_ref(), predicate, env))
+            .or_else(|| {
+                temporal.and_then(|(lo, hi)| {
+                    source.triples_matching_temporal(subject.as_ref(), predicate, lo, hi)
+                })
+            })
+            .unwrap_or_else(|| source.triples_matching(subject.as_ref(), predicate, term(o)));
+        let n = triples.len();
+        for (i, t) in triples.into_iter().enumerate() {
+            if i % CHECK_INTERVAL == 0 && self.interrupted() {
+                return None;
+            }
+            for (slot, col, term) in [
+                (slots[0], &mut cols.s, Term::from(t.subject)),
+                (slots[1], &mut cols.p, Term::Named(t.predicate)),
+                (slots[2], &mut cols.o, t.object),
+            ] {
+                if slot.is_some() {
+                    col.push(self.interner.intern(&term));
+                }
+            }
+        }
+        Some((n, cols))
     }
 
     // --- hash join ---------------------------------------------------------
@@ -2563,6 +2466,7 @@ fn var_const_envelope(a: &Expression, b: &Expression) -> Option<(String, Envelop
 mod tests {
     use super::*;
     use crate::algebra::TermPattern as TP;
+    use applab_rdf::NamedNode;
 
     fn test_graph() -> Graph {
         let mut g = Graph::new();
@@ -2897,21 +2801,23 @@ mod tests {
             NamedNode::new("http://ex.org/linksTo"),
             Term::named("http://ex.org/n"),
         );
-        // ?x linksTo ?x matches only the self-loop.
+        // ?x linksTo ?x matches only the self-loop, on either scan branch.
         let q = select_all(GraphPattern::Bgp(vec![TriplePattern::new(
             var("x"),
             Term::named("http://ex.org/linksTo"),
             var("x"),
         )]));
-        let r = evaluate(&g, &q).unwrap();
-        assert_eq!(r.len(), 1);
+        assert_eq!(evaluate(&g, &q).unwrap().len(), 1);
+        assert_eq!(evaluate(&IdGraph::from_graph(&g), &q).unwrap().len(), 1);
     }
 
     // --- new-pipeline tests ------------------------------------------------
 
     /// A minimal dictionary-encoded source exercising the id-level scan
-    /// path without depending on the store crate.
+    /// path without depending on the store crate. Decoded-triple calls go
+    /// to the graph it was built from.
     struct IdGraph {
+        graph: Graph,
         by_term: HashMap<Term, u64>,
         terms: Vec<Term>,
         triples: Vec<(u64, u64, u64)>,
@@ -2920,6 +2826,7 @@ mod tests {
     impl IdGraph {
         fn from_graph(g: &Graph) -> IdGraph {
             let mut out = IdGraph {
+                graph: g.clone(),
                 by_term: HashMap::new(),
                 terms: Vec::new(),
                 triples: Vec::new(),
@@ -2950,27 +2857,7 @@ mod tests {
             predicate: Option<&NamedNode>,
             object: Option<&Term>,
         ) -> Vec<Triple> {
-            let s = subject.map(|s| Term::from(s.clone()));
-            let p = predicate.map(|p| Term::Named(p.clone()));
-            self.triples
-                .iter()
-                .filter_map(|&(ts, tp, to)| {
-                    let st = &self.terms[ts as usize];
-                    let pt = &self.terms[tp as usize];
-                    let ot = &self.terms[to as usize];
-                    if s.as_ref().is_some_and(|s| s != st)
-                        || p.as_ref().is_some_and(|p| p != pt)
-                        || object.is_some_and(|o| o != ot)
-                    {
-                        return None;
-                    }
-                    Some(Triple::new(
-                        st.as_resource().unwrap(),
-                        pt.as_named().unwrap().clone(),
-                        ot.clone(),
-                    ))
-                })
-                .collect()
+            self.graph.triples_matching(subject, predicate, object)
         }
 
         fn id_access(&self) -> Option<&dyn IdAccess> {
@@ -3030,7 +2917,7 @@ mod tests {
         let idg = IdGraph::from_graph(&g);
         let probe =
             Literal::wkt("POLYGON ((2.2 48.84, 2.28 48.84, 2.28 48.89, 2.2 48.89, 2.2 48.84))");
-        let queries = vec![
+        let mut queries = vec![
             select_all(GraphPattern::Bgp(vec![
                 TriplePattern::new(
                     var("s"),
@@ -3053,19 +2940,40 @@ mod tests {
                 ])),
             )),
         ];
-        for q in &queries {
+        let bgp = |s: TP, p: TP| GraphPattern::Bgp(vec![TriplePattern::new(s, p, var("o"))]);
+        // One input row (`VALUES ?s { t }`) runs the substitution path.
+        let fed = |t: Term| {
+            let values = GraphPattern::Values(vec!["s".into()], vec![vec![Some(t)]]);
+            select_all(GraphPattern::Join(
+                Box::new(values),
+                Box::new(bgp(var("s"), var("p"))),
+            ))
+        };
+        let p1 = fed(Term::named("http://ex.org/p1"));
+        assert_eq!(evaluate(&g, &p1).unwrap().len(), 3);
+        queries.push(p1);
+        // Provably empty on both: a literal subject (stated or substituted)
+        // and a constant absent from the dictionary.
+        let name = Term::Literal(Literal::string("Parc Monceau"));
+        let absent = Term::named("http://ex.org/nowhere");
+        let empty = [
+            select_all(bgp(
+                name.clone().into(),
+                Term::named(vocab::osm::HAS_NAME).into(),
+            )),
+            fed(name),
+            select_all(bgp(var("s"), absent.clone().into())),
+            fed(absent),
+        ];
+        for q in queries.iter().chain(&empty) {
             let a = evaluate(&g, q).unwrap();
             let b = evaluate(&idg, q).unwrap();
             assert_eq!(a.variables(), b.variables());
             assert_eq!(sorted_rows(&a), sorted_rows(&b));
         }
-        // A constant absent from the dictionary is provably empty.
-        let q = select_all(GraphPattern::Bgp(vec![TriplePattern::new(
-            var("s"),
-            Term::named("http://ex.org/noSuchPredicate"),
-            var("o"),
-        )]));
-        assert_eq!(evaluate(&idg, &q).unwrap().len(), 0);
+        for q in &empty {
+            assert_eq!(evaluate(&idg, q).unwrap().len(), 0);
+        }
     }
 
     #[test]

@@ -211,9 +211,9 @@ impl QueryResults {
     /// The estimate ignores JSON string escaping, so a result full of
     /// quotes or control characters serializes somewhat *larger* than
     /// estimated; for `ASK` the value is exact. This exists so response
-    /// framing can be decided before serializing (see
-    /// `QueryOutcome::content_length_hint` in `applab-service`); it must
-    /// never be sent as a `Content-Length`.
+    /// framing can be decided before serializing (the HTTP server streams
+    /// chunked once it reaches [`JSON_FLUSH_BYTES`]); it must never be
+    /// sent as a `Content-Length`.
     pub fn json_size_estimate(&self) -> u64 {
         // Per-term JSON overhead on top of the lexical form, e.g.
         // `{"type":"uri","value":""}` is 25 bytes around the IRI.

@@ -79,12 +79,16 @@ pub trait GraphSource {
 
     /// Dictionary-level access for sources that store triples as id tuples.
     ///
-    /// Returning `Some` lets the evaluator run its hash-join pipeline
-    /// directly on `u64` ids — scans yield id triples, join keys are integer
-    /// comparisons, and terms are only decoded at FILTER / projection
-    /// boundaries (late materialization). The default `None` keeps the
-    /// decoded-triple contract: [`applab_rdf::Graph`], the naive store and
-    /// the OBDA virtual graphs work unchanged.
+    /// The evaluator scans every source through one routine; this choice
+    /// only decides where a pattern's match columns come from. Returning
+    /// `Some` makes the source fill them with its own ids
+    /// ([`IdAccess::scan_ids_columns`] and its spatial/temporal variants),
+    /// so a scan decodes and interns no term, and terms are only decoded at
+    /// FILTER / projection boundaries (late materialization). The default
+    /// `None` keeps the decoded-triple contract: the evaluator calls
+    /// [`GraphSource::triples_matching`] (or a variant) and interns the
+    /// returned terms into query-local ids, so [`applab_rdf::Graph`], the
+    /// naive store and the OBDA virtual graphs work unchanged.
     fn id_access(&self) -> Option<&dyn IdAccess> {
         None
     }
