@@ -166,6 +166,15 @@ pub enum TermTemplate {
 }
 
 impl TermTemplate {
+    /// All referenced columns. A template expands exactly when each of
+    /// them is present and not null.
+    pub fn columns(&self) -> Vec<&str> {
+        match self {
+            TermTemplate::Iri(t) | TermTemplate::Blank(t) => t.columns(),
+            TermTemplate::Literal { template, .. } => template.columns(),
+        }
+    }
+
     /// Expand against a row; `None` when a referenced column is null.
     pub fn expand(&self, row: &Row) -> Option<Term> {
         match self {

@@ -89,15 +89,33 @@ impl DataSource {
         )
     }
 
+    /// Whether every row a query over `from` returns holds `column` when
+    /// it projects it. Only a virtual table knows such columns.
+    pub(crate) fn never_null(&self, from: &FromClause, column: &str) -> bool {
+        match from {
+            FromClause::Table(_) => false,
+            FromClause::Opendap {
+                dataset, variable, ..
+            } => self
+                .vtables
+                .get(&format!("opendap:{dataset}:{variable}"))
+                .is_some_and(|vt| vt.never_null(column)),
+        }
+    }
+
     /// Execute a source query, optionally with a spatial access-path hint:
     /// `(geometry column, envelope)` restricts base-table scans through the
     /// R-tree, and a virtual table's scan through its coordinate axes.
-    /// Returns the qualifying rows (projected).
+    /// Returns the qualifying rows, projected on `columns` when given (the
+    /// only columns the caller reads, a subset of the query's projection)
+    /// and on the query's own projection otherwise.
     pub fn execute(
         &self,
         query: &SourceQuery,
         spatial_hint: Option<(&str, &Envelope)>,
+        columns: Option<&[String]>,
     ) -> Result<Vec<Row>, ObdaError> {
+        let columns = columns.or((!query.columns.is_empty()).then_some(&query.columns[..]));
         applab_obs::counter!("applab_obda_source_queries_total").inc();
         applab_obs::querystats::source_query();
         let mut span = applab_obs::span("obda.execute");
@@ -123,7 +141,7 @@ impl DataSource {
                 let out: Vec<Row> = candidate_rows
                     .into_iter()
                     .filter(|row| query.predicates.iter().all(|p| matches(row, p)))
-                    .map(|row| project(row, &query.columns))
+                    .map(|row| project(row, columns))
                     .collect();
                 span.record("rows", out.len());
                 Ok(out)
@@ -139,7 +157,7 @@ impl DataSource {
                     .ok_or_else(|| ObdaError::NoSuchTable(key.clone()))?;
                 let out = vtable.scan(&Pushdown {
                     predicates: &query.predicates,
-                    columns: &query.columns,
+                    columns,
                     spatial: spatial_hint,
                 })?;
                 span.record("rows", out.len());
@@ -166,10 +184,11 @@ pub(crate) fn satisfies(value: &Value, p: &Predicate) -> bool {
     ord.map(|o| p.op.evaluate(o)).unwrap_or(false)
 }
 
-pub(crate) fn project(row: &Row, columns: &[String]) -> Row {
-    if columns.is_empty() {
+/// `row` on `columns`; every column when `None`.
+pub(crate) fn project(row: &Row, columns: Option<&[String]>) -> Row {
+    let Some(columns) = columns else {
         return row.clone();
-    }
+    };
     columns
         .iter()
         .filter_map(|c| row.get(c).map(|v| (c.clone(), v.clone())))
@@ -231,9 +250,9 @@ mod tests {
             },
             predicates: Vec::new(),
         };
-        assert_eq!(ds.execute(&query("lai_300m"), None).unwrap().len(), 1);
+        assert_eq!(ds.execute(&query("lai_300m"), None, None).unwrap().len(), 1);
         assert!(matches!(
-            ds.execute(&query("nope"), None),
+            ds.execute(&query("nope"), None, None),
             Err(ObdaError::NoSuchTable(key)) if key == "opendap:nope:LAI"
         ));
     }
@@ -243,7 +262,7 @@ mod tests {
         let ds = source();
         let q = SourceQuery::parse("SELECT id, area FROM parks WHERE kind = park AND area > 50")
             .unwrap();
-        let rows = ds.execute(&q, None).unwrap();
+        let rows = ds.execute(&q, None, None).unwrap();
         // Even ids with area > 50: ids 6, 8, 10, 12, 14, 16, 18.
         assert_eq!(rows.len(), 7);
         assert!(rows.iter().all(|r| r.len() == 2));
@@ -254,7 +273,7 @@ mod tests {
     fn select_star() {
         let ds = source();
         let q = SourceQuery::parse("SELECT * FROM parks").unwrap();
-        let rows = ds.execute(&q, None).unwrap();
+        let rows = ds.execute(&q, None, None).unwrap();
         assert_eq!(rows.len(), 20);
         assert_eq!(rows[0].len(), 4);
     }
@@ -264,7 +283,7 @@ mod tests {
         let ds = source();
         let q = SourceQuery::parse("SELECT id FROM parks").unwrap();
         let env = Envelope::new(4.9, 0.0, 7.1, 0.5);
-        let rows = ds.execute(&q, Some(("geom", &env))).unwrap();
+        let rows = ds.execute(&q, Some(("geom", &env)), None).unwrap();
         // Rects starting at 5, 6, 7 intersect (and 4’s rect ends at 4.5 — no).
         let mut ids: Vec<f64> = rows
             .iter()
@@ -276,7 +295,7 @@ mod tests {
         ids.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert_eq!(ids, vec![5.0, 6.0, 7.0]);
         // Hint on a non-geometry column falls back to a full scan.
-        let rows = ds.execute(&q, Some(("id", &env))).unwrap();
+        let rows = ds.execute(&q, Some(("id", &env)), None).unwrap();
         assert_eq!(rows.len(), 20);
     }
 
@@ -285,12 +304,12 @@ mod tests {
         let ds = source();
         let q = SourceQuery::parse("SELECT a FROM nope").unwrap();
         assert!(matches!(
-            ds.execute(&q, None),
+            ds.execute(&q, None, None),
             Err(ObdaError::NoSuchTable(_))
         ));
         let q = SourceQuery::parse("SELECT a FROM opendap('x', 'Y')").unwrap();
         assert!(matches!(
-            ds.execute(&q, None),
+            ds.execute(&q, None, None),
             Err(ObdaError::NoSuchTable(_))
         ));
     }
@@ -299,6 +318,6 @@ mod tests {
     fn predicates_on_missing_columns_fail_row() {
         let ds = source();
         let q = SourceQuery::parse("SELECT id FROM parks WHERE nothere = 5").unwrap();
-        assert!(ds.execute(&q, None).unwrap().is_empty());
+        assert!(ds.execute(&q, None, None).unwrap().is_empty());
     }
 }

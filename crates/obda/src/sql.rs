@@ -77,6 +77,11 @@ pub struct SourceQuery {
 }
 
 impl SourceQuery {
+    /// Whether the query selects `column` (`*` selects every column).
+    pub fn projects(&self, column: &str) -> bool {
+        self.columns.is_empty() || self.columns.iter().any(|c| c == column)
+    }
+
     /// Parse a source clause.
     pub fn parse(text: &str) -> Result<SourceQuery, ObdaError> {
         let err = |m: String| ObdaError::Sql(m);

@@ -19,7 +19,7 @@ use crate::sql::{FromClause, SourceQuery};
 use crate::ObdaError;
 use applab_geo::Envelope;
 use applab_geotriples::mapping::{Mapping, StringTemplate, TermTemplate, TripleTemplate};
-use applab_geotriples::Row;
+use applab_geotriples::{Row, Value};
 use applab_rdf::{vocab, NamedNode, Resource, Term, Triple};
 use applab_sparql::algebra::{connected_components, TermPattern, TriplePattern};
 use applab_sparql::expr::Binding;
@@ -37,6 +37,10 @@ struct CompiledMapping {
     /// selected rows expand it to the same term. The whole-BGP rewrite
     /// answers one solution per row, which is only exact under this.
     keyed: bool,
+    /// Template columns the source query projects and its table never
+    /// leaves null: a row always expands them, so the whole-BGP rewrite
+    /// neither checks nor fetches them for a variable it does not bind.
+    never_null: Vec<String>,
 }
 
 /// A virtual RDF graph over mappings + a relational source.
@@ -68,11 +72,26 @@ impl VirtualGraph {
                     .map(|t| constant_expansion(&t.predicate))
                     .collect();
                 let keyed = subjects_are_keys(&source, &m, &query);
+                let mut never_null: Vec<String> = Vec::new();
+                for t in &m.target {
+                    for c in template_positions(t)
+                        .into_iter()
+                        .flat_map(TermTemplate::columns)
+                    {
+                        if query.projects(c)
+                            && source.never_null(&query.from, c)
+                            && !never_null.iter().any(|n| n == c)
+                        {
+                            never_null.push(c.to_string());
+                        }
+                    }
+                }
                 Ok(CompiledMapping {
                     mapping: m,
                     query,
                     predicate_of,
                     keyed,
+                    never_null,
                 })
             })
             .collect::<Result<Vec<_>, ObdaError>>()?;
@@ -86,12 +105,15 @@ impl VirtualGraph {
     }
 
     /// Fetch a mapping's source rows, through the base-table cache when
-    /// there is no access-path hint.
+    /// there is no access-path hint. `reading` names the only columns the
+    /// caller reads (see [`DataSource::execute`]); a cached base table
+    /// keeps the query's whole projection.
     fn rows_for(
         &self,
         idx: usize,
         cm: &CompiledMapping,
         hint: Option<(&str, &Envelope)>,
+        reading: Option<&[String]>,
     ) -> Result<Arc<Vec<Row>>, ObdaError> {
         let cacheable = hint.is_none() && matches!(cm.query.from, FromClause::Table(_));
         if cacheable {
@@ -104,7 +126,8 @@ impl VirtualGraph {
                 return Ok(rows.clone());
             }
         }
-        let rows = Arc::new(self.source.execute(&cm.query, hint)?);
+        let reading = if cacheable { None } else { reading };
+        let rows = Arc::new(self.source.execute(&cm.query, hint, reading)?);
         if cacheable {
             self.row_cache
                 .lock()
@@ -122,7 +145,7 @@ impl VirtualGraph {
         span.record("mappings", self.mappings.len());
         let mut g = applab_rdf::Graph::new();
         for (idx, cm) in self.mappings.iter().enumerate() {
-            let rows = self.rows_for(idx, cm, None)?;
+            let rows = self.rows_for(idx, cm, None, None)?;
             for row in rows.iter() {
                 for template in &cm.mapping.target {
                     if let Some(t) = template.expand(row) {
@@ -225,7 +248,7 @@ impl VirtualGraph {
         {
             return;
         }
-        let rows = match self.rows_for(idx, cm, hint_col.zip(spatial)) {
+        let rows = match self.rows_for(idx, cm, hint_col.zip(spatial), None) {
             Ok(rows) => rows,
             Err(e) => {
                 // The trait has no Result channel — record the fault so the
@@ -378,11 +401,7 @@ fn structural_stats(mappings: &[CompiledMapping]) -> applab_sparql::plan::Stats 
             entry.triples += ROW_GUESS;
             stats.total_triples += ROW_GUESS;
             let distinct = |t: &TermTemplate| -> u64 {
-                let constant = match t {
-                    TermTemplate::Iri(st) | TermTemplate::Blank(st) => st.columns().is_empty(),
-                    TermTemplate::Literal { template, .. } => template.columns().is_empty(),
-                };
-                if constant {
+                if t.columns().is_empty() {
                     1
                 } else {
                     ROW_GUESS
@@ -417,13 +436,7 @@ fn subjects_are_keys(source: &DataSource, mapping: &Mapping, query: &SourceQuery
             subjects.push(&t.subject);
         }
     }
-    let projected = |st: &StringTemplate| {
-        query.columns.is_empty()
-            || st
-                .columns()
-                .iter()
-                .all(|c| query.columns.iter().any(|q| q == c))
-    };
+    let projected = |st: &StringTemplate| st.columns().iter().all(|c| query.projects(c));
     let resources: Option<Vec<&StringTemplate>> = subjects
         .iter()
         .map(|t| match t {
@@ -527,6 +540,7 @@ impl GraphSource for VirtualGraph {
         &self,
         patterns: &[TriplePattern],
         spatial: &HashMap<String, Envelope>,
+        observed: &dyn Fn(&str) -> bool,
     ) -> Option<Vec<Binding>> {
         if patterns.is_empty() {
             return None;
@@ -557,64 +571,94 @@ impl GraphSource for VirtualGraph {
                 }
             }
         }
-        let rows = match self.rows_for(idx, cm, hint) {
+        // Per-row steps. Constant positions whose template is
+        // placeholder-free were already verified statically; templated
+        // constants need a per-row check; variables need the expansion
+        // bound, unless nothing observes them.
+        let mut verify: Vec<(&Term, &TermTemplate)> = Vec::new();
+        let mut positions: Vec<(&str, Vec<&TermTemplate>)> = Vec::new();
+        for (pattern, template) in patterns.iter().zip(&assignment) {
+            for (tp, tt) in pattern_positions(pattern)
+                .into_iter()
+                .zip(template_positions(template))
+            {
+                match tp {
+                    TermPattern::Var(v) => match positions.iter_mut().find(|(x, _)| x == v) {
+                        Some((_, tts)) => tts.push(tt),
+                        None => positions.push((v, vec![tt])),
+                    },
+                    TermPattern::Term(expected) if !tt.columns().is_empty() => {
+                        verify.push((expected, tt));
+                    }
+                    TermPattern::Term(_) => {}
+                }
+            }
+        }
+        // An unobserved variable at one template everywhere expands the
+        // same term at each of its positions, so it only has to expand at
+        // all ("null column: no triple"): its columns must be present,
+        // and a column the table never leaves null needs no check. Under
+        // differing templates its equality is a filter, so it stays bound.
+        let mut bind: Vec<(&str, &TermTemplate)> = Vec::new();
+        let mut present: Vec<&str> = Vec::new();
+        for (v, tts) in &positions {
+            if observed(v) || tts.iter().any(|t| t != &tts[0]) {
+                bind.extend(tts.iter().map(|t| (*v, *t)));
+                continue;
+            }
+            for c in tts[0].columns() {
+                if !cm.never_null.iter().any(|n| n == c) && !present.contains(&c) {
+                    present.push(c);
+                }
+            }
+        }
+        // The source query fetches only what the steps read.
+        let mut reading: Vec<String> = Vec::new();
+        let read = verify
+            .iter()
+            .map(|(_, tt)| *tt)
+            .chain(bind.iter().map(|(_, tt)| *tt));
+        for c in read
+            .flat_map(TermTemplate::columns)
+            .chain(present.iter().copied())
+        {
+            if cm.query.projects(c) && !reading.iter().any(|r| r == c) {
+                reading.push(c.to_string());
+            }
+        }
+        let rows = match self.rows_for(idx, cm, hint, Some(&reading)) {
             Ok(rows) => rows,
             Err(e) => {
                 crate::fault::record_source_fault(e);
                 return Some(Vec::new());
             }
         };
-        // Per-position plans: expand only what the query observes.
-        // Constant positions whose template is placeholder-free were
-        // already verified statically; templated constants need a
-        // per-row check; variables need the expansion bound.
-        enum Step<'p> {
-            Bind(&'p str, &'p TermTemplate),
-            Verify(&'p Term, &'p TermTemplate),
-        }
-        let mut steps: Vec<Step> = Vec::new();
-        for (pattern, template) in patterns.iter().zip(&assignment) {
-            for (tp, tt) in [
-                (&pattern.subject, &template.subject),
-                (&pattern.predicate, &template.predicate),
-                (&pattern.object, &template.object),
-            ] {
-                match tp {
-                    TermPattern::Var(v) => steps.push(Step::Bind(v, tt)),
-                    TermPattern::Term(expected) => {
-                        let is_constant_template = match tt {
-                            TermTemplate::Iri(st) | TermTemplate::Blank(st) => {
-                                st.columns().is_empty()
-                            }
-                            TermTemplate::Literal { template, .. } => template.columns().is_empty(),
-                        };
-                        if !is_constant_template {
-                            steps.push(Step::Verify(expected, tt));
-                        }
-                    }
-                }
-            }
-        }
+        // Cheapest rejections first: presence, then the constants, and
+        // only a row that passes both formats its bound terms.
         let mut bindings = Vec::new();
         'rows: for row in rows.iter() {
+            if !present
+                .iter()
+                .all(|c| row.get(*c).is_some_and(|v| !matches!(v, Value::Null)))
+            {
+                continue;
+            }
+            for (expected, tt) in &verify {
+                match tt.expand(row) {
+                    Some(actual) if &actual == *expected => {}
+                    _ => continue 'rows,
+                }
+            }
             let mut binding = Binding::new();
-            for step in &steps {
-                match step {
-                    Step::Verify(expected, tt) => match tt.expand(row) {
-                        Some(actual) if &&actual == expected => {}
-                        _ => continue 'rows,
-                    },
-                    Step::Bind(v, tt) => {
-                        let Some(actual) = tt.expand(row) else {
-                            continue 'rows; // null column: no triple
-                        };
-                        match binding.get(*v) {
-                            Some(existing) if existing != &actual => continue 'rows,
-                            Some(_) => {}
-                            None => {
-                                binding.insert(v.to_string(), actual);
-                            }
-                        }
+            for (v, tt) in &bind {
+                let Some(actual) = tt.expand(row) else {
+                    continue 'rows; // null column: no triple
+                };
+                match binding.get(*v) {
+                    Some(existing) if existing != &actual => continue 'rows,
+                    Some(_) => {}
+                    None => {
+                        binding.insert(v.to_string(), actual);
                     }
                 }
             }
@@ -891,7 +935,9 @@ source SELECT * FROM parks WHERE kind = park
                 TermPattern::var("wkt"),
             ),
         ];
-        let bindings = vg.evaluate_bgp(&patterns, &HashMap::new()).unwrap();
+        let bindings = vg
+            .evaluate_bgp(&patterns, &HashMap::new(), &|_| true)
+            .unwrap();
         // Parks only (kind=park): ids not divisible by 3 → 1,2,4,5,7,8 of 0..10.
         assert_eq!(bindings.len(), 6);
         for b in &bindings {
@@ -909,8 +955,10 @@ source SELECT * FROM parks WHERE kind = park
         )];
         let mut spatial = HashMap::new();
         spatial.insert("wkt".to_string(), Envelope::new(10.0, 0.0, 12.0, 1.0));
-        let constrained = vg.evaluate_bgp(&patterns, &spatial).unwrap();
-        let unconstrained = vg.evaluate_bgp(&patterns, &HashMap::new()).unwrap();
+        let constrained = vg.evaluate_bgp(&patterns, &spatial, &|_| true).unwrap();
+        let unconstrained = vg
+            .evaluate_bgp(&patterns, &HashMap::new(), &|_| true)
+            .unwrap();
         assert!(constrained.len() < unconstrained.len());
         assert!(!constrained.is_empty());
     }
@@ -1092,7 +1140,9 @@ WHERE { ?s lai:hasLai ?lai .
             Term::named(vocab::lai::HAS_LAI),
             TermPattern::var("lai"),
         )];
-        let bindings = vg.evaluate_bgp(&patterns, &HashMap::new()).unwrap();
+        let bindings = vg
+            .evaluate_bgp(&patterns, &HashMap::new(), &|_| true)
+            .unwrap();
         assert!(bindings.is_empty());
         assert!(matches!(
             crate::fault::take_source_fault(),
@@ -1147,7 +1197,9 @@ WHERE { ?s lai:hasLai ?lai .
         let vg = parks_with_kind_names(6);
         let q = "SELECT ?s ?n ?g WHERE { ?s osm:hasName ?n . ?s geo:hasGeometry ?g }";
         let patterns = bgp(q);
-        assert!(vg.evaluate_bgp(&patterns, &HashMap::new()).is_none());
+        assert!(vg
+            .evaluate_bgp(&patterns, &HashMap::new(), &|_| true)
+            .is_none());
         let virt = applab_sparql::query(&vg, q).unwrap();
         let mat = applab_sparql::query(&vg.materialize().unwrap(), q).unwrap();
         assert_eq!(mat.len(), 8);
@@ -1187,7 +1239,9 @@ WHERE { ?s lai:hasLai ?lai .
         let q =
             "SELECT ?s ?n ?w WHERE { ?s osm:hasName ?n . ?s geo:hasGeometry ?g . ?g geo:asWKT ?w }";
         let patterns = bgp(q);
-        assert!(vg.evaluate_bgp(&patterns, &HashMap::new()).is_none());
+        assert!(vg
+            .evaluate_bgp(&patterns, &HashMap::new(), &|_| true)
+            .is_none());
         let virt = applab_sparql::query(&vg, q).unwrap();
         let mat = applab_sparql::query(&vg.materialize().unwrap(), q).unwrap();
         // poi_1 has two names and one geometry node with two WKTs: 2 × 2.
@@ -1213,7 +1267,9 @@ WHERE { ?s lai:hasLai ?lai .
                 TermPattern::var("n"),
             ),
         ];
-        assert!(vg.evaluate_bgp(&patterns, &HashMap::new()).is_none());
+        assert!(vg
+            .evaluate_bgp(&patterns, &HashMap::new(), &|_| true)
+            .is_none());
     }
 
     #[test]
@@ -1240,5 +1296,182 @@ WHERE { ?s lai:hasLai ?lai .
         ));
         assert!(!provably_disjoint(&t("{a}^^xsd:string"), &t("{b}")));
         assert!(!provably_disjoint(&t("_:g_{id}"), &t("_:g_{x}")));
+    }
+
+    /// Whole-BGP answers with every variable observed, and with only
+    /// `keep`: row for row, the pruned binding is the full one less some
+    /// variables `keep` does not name.
+    fn pruned_against_full(vg: &VirtualGraph, q: &str, keep: &[&str]) -> Vec<Binding> {
+        let patterns = bgp(q);
+        let full = vg
+            .evaluate_bgp(&patterns, &HashMap::new(), &|_| true)
+            .expect("rewritten");
+        let pruned = vg
+            .evaluate_bgp(&patterns, &HashMap::new(), &|v| keep.contains(&v))
+            .expect("rewritten");
+        assert_eq!(pruned.len(), full.len(), "{q}");
+        for (p, f) in pruned.iter().zip(&full) {
+            assert!(p.iter().all(|(k, v)| f.get(k) == Some(v)), "{q}");
+            assert!(keep.iter().all(|k| p.get(*k) == f.get(*k)), "{q}");
+        }
+        pruned
+    }
+
+    #[test]
+    fn a_null_column_of_an_unobserved_variable_still_drops_the_row() {
+        let mut table = parks_table(9);
+        table.rows[1].insert("name".into(), Value::Null);
+        table.rows[2].remove("name");
+        let mut ds = DataSource::new();
+        ds.add_table(table);
+        let vg = VirtualGraph::new(ds, parse_mappings(PARK_MAPPINGS).unwrap()).unwrap();
+        // Parks are ids 1, 2, 4, 5, 7, 8; 1 and 2 have no name.
+        let q = "SELECT ?s WHERE { ?s osm:hasName ?n . ?s geo:hasGeometry ?g }";
+        let pruned = pruned_against_full(&vg, q, &["s"]);
+        assert_eq!(pruned.len(), 4);
+        assert!(pruned.iter().all(|b| b.len() == 1 && b.contains_key("s")));
+        assert!(pruned_against_full(&vg, q, &[])
+            .iter()
+            .all(Binding::is_empty));
+        let count = "SELECT (COUNT(*) AS ?c) WHERE { ?s osm:hasName ?n }";
+        let r = applab_sparql::query(&vg, count).unwrap();
+        assert_eq!(sorted_csv(&r), ["4"]);
+    }
+
+    #[test]
+    fn a_variable_under_two_templates_stays_checked() {
+        let mappings = r#"
+mappingId parks
+target osm:poi_{id} osm:hasName {name}^^xsd:string ;
+       rdfs:label {alias}^^xsd:string .
+source SELECT * FROM parks
+"#;
+        let mut table = parks_table(6);
+        for (i, row) in table.rows.iter_mut().enumerate() {
+            let alias = if i % 2 == 0 {
+                format!("park {i}")
+            } else {
+                "other".into()
+            };
+            row.insert("alias".into(), Value::Text(alias));
+        }
+        let mut ds = DataSource::new();
+        ds.add_table(table);
+        let vg = VirtualGraph::new(ds, parse_mappings(mappings).unwrap()).unwrap();
+        // ?n is observed by nothing, but its two templates must agree.
+        let q = "SELECT ?s WHERE { ?s osm:hasName ?n . ?s rdfs:label ?n }";
+        for keep in [&["s"][..], &[]] {
+            let pruned = pruned_against_full(&vg, q, keep);
+            assert_eq!(pruned.len(), 3);
+            assert!(pruned.iter().all(|b| b.contains_key("n")));
+        }
+    }
+
+    #[test]
+    fn pruned_query_forms_equal_the_reference_evaluator() {
+        let vg = virtual_graph(20);
+        for q in [
+            "SELECT * WHERE { ?s osm:hasName ?n . ?s geo:hasGeometry ?g . ?g geo:asWKT ?w }",
+            "ASK { ?s osm:hasName ?n . ?s geo:hasGeometry ?g }",
+            "SELECT (COUNT(*) AS ?c) WHERE { ?s osm:hasName ?n . ?s geo:hasGeometry ?g }",
+            "SELECT ?n (COUNT(?g) AS ?c) WHERE { ?s osm:hasName ?n . ?s geo:hasGeometry ?g } GROUP BY ?n",
+            "SELECT ?n WHERE { ?s osm:hasName ?n OPTIONAL { ?s geo:hasGeometry ?g . ?g geo:asWKT ?w } }",
+            "SELECT ?w WHERE { ?s osm:poiType osm:park . ?s geo:hasGeometry ?g . ?g geo:asWKT ?w }",
+            "SELECT DISTINCT ?t WHERE { ?s osm:poiType ?t . ?s osm:hasName ?n }",
+        ] {
+            let query = applab_sparql::parse_query(q).unwrap();
+            let oracle = applab_sparql::reference::evaluate(&vg, &query).unwrap();
+            let pruned = applab_sparql::query(&vg, q).unwrap();
+            let answered = match &oracle {
+                applab_sparql::QueryResults::Boolean(yes) => *yes,
+                rows => !rows.is_empty(),
+            };
+            assert!(answered, "{q}");
+            assert_eq!(sorted_csv(&pruned), sorted_csv(&oracle), "{q}");
+        }
+    }
+
+    /// A virtual table that records the columns of every row it returns.
+    struct Columns {
+        inner: crate::vtable::OpendapTable,
+        seen: Mutex<Vec<Vec<String>>>,
+    }
+
+    impl crate::vtable::VirtualTable for Columns {
+        fn scan(&self, pushdown: &crate::vtable::Pushdown) -> Result<Vec<Row>, ObdaError> {
+            let rows = self.inner.scan(pushdown)?;
+            let mut seen = self.seen.lock().unwrap();
+            seen.extend(rows.iter().map(|r| r.keys().cloned().collect()));
+            Ok(rows)
+        }
+
+        fn never_null(&self, column: &str) -> bool {
+            self.inner.never_null(column)
+        }
+    }
+
+    #[test]
+    fn the_grid_builds_only_the_columns_a_query_reads() {
+        let server = DapServer::new();
+        server.publish(grid_dataset(
+            "lai",
+            &[0.0, 864_000.0],
+            &[48.0, 48.5],
+            &[2.0, 2.5],
+            |t, la, lo| (t + la + lo + 1) as f64,
+        ));
+        let client = Arc::new(DapClient::new(Arc::new(server), Arc::new(Local::new())));
+        let table = Arc::new(Columns {
+            inner: crate::vtable::OpendapTable::new(
+                client,
+                "lai",
+                "LAI",
+                Duration::from_secs(600),
+                ManualClock::new(),
+            ),
+            seen: Mutex::new(Vec::new()),
+        });
+        let mut ds = DataSource::new();
+        ds.add_opendap("lai", "LAI", table.clone());
+        let mappings = parse_mappings(&listing2("lai")).unwrap();
+        let vg = VirtualGraph::new(ds, mappings).unwrap();
+        // 2 times x 2 x 2 cells: eight observations, one row each.
+        let columns = |q: &str| -> Vec<Vec<String>> {
+            table.seen.lock().unwrap().clear();
+            let r = applab_sparql::query(&vg, q).unwrap();
+            let n = sorted_csv(&r).len();
+            let mut seen = table.seen.lock().unwrap().clone();
+            assert_eq!(seen.len(), 8, "{q}");
+            assert!(
+                n == 8 || q.contains("COUNT") && sorted_csv(&r) == ["8"],
+                "{q}"
+            );
+            seen.dedup();
+            seen
+        };
+        assert_eq!(
+            columns("SELECT ?lai WHERE { ?s lai:hasLai ?lai . ?s geo:hasGeometry ?g . ?g geo:asWKT ?w }"),
+            [["LAI"]]
+        );
+        assert_eq!(
+            columns("SELECT ?s ?lai WHERE { ?s lai:hasLai ?lai }"),
+            [["LAI", "id"]]
+        );
+        assert_eq!(
+            columns("SELECT ?t ?w WHERE { ?s time:hasTime ?t . ?s geo:hasGeometry ?g . ?g geo:asWKT ?w }"),
+            [["loc", "ts"]]
+        );
+        // Nothing read: the rows carry no column, one per observation.
+        assert_eq!(
+            columns("SELECT (COUNT(*) AS ?n) WHERE { ?s lai:hasLai ?lai }"),
+            [Vec::<String>::new()]
+        );
+    }
+
+    /// Listing 2's mapping over a dataset named `dataset`.
+    fn listing2(dataset: &str) -> String {
+        format!(
+            "mappingId opendap_mapping\ntarget lai:{{id}} rdf:type lai:Observation .\n       lai:{{id}} lai:hasLai {{LAI}}^^xsd:float ;\n       time:hasTime {{ts}}^^xsd:dateTime .\n       lai:{{id}} geo:hasGeometry _:g_{{id}} .\n       _:g_{{id}} geo:asWKT {{loc}}^^geo:wktLiteral .\nsource SELECT id, LAI, ts, loc FROM (ordered opendap url:https://x/thredds/dodsC/{dataset}/readdods/LAI/, 10) WHERE LAI > 0\n"
+        )
     }
 }

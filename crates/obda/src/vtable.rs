@@ -36,8 +36,8 @@ use std::time::Duration;
 pub struct Pushdown<'a> {
     /// Conjunctive `column OP constant` predicates.
     pub predicates: &'a [Predicate],
-    /// Projected columns; empty = every column.
-    pub columns: &'a [String],
+    /// Projected columns; `None` = every column.
+    pub columns: Option<&'a [String]>,
     /// `(geometry column, envelope)`: keep only the rows whose geometry in
     /// that column intersects the envelope (closed intervals; an empty
     /// envelope selects nothing). A hint on a column that holds no
@@ -56,6 +56,12 @@ impl Pushdown<'static> {
 pub trait VirtualTable: Send + Sync {
     /// The rows `pushdown` selects, projected, in the table's row order.
     fn scan(&self, pushdown: &Pushdown) -> Result<Vec<Row>, ObdaError>;
+
+    /// Whether every row a scan returns holds `column` whenever the
+    /// pushdown projects it. The default knows no such column.
+    fn never_null(&self, _column: &str) -> bool {
+        false
+    }
 }
 
 /// Why a grid fetch failed: the upstream's own error, or a grid this table
@@ -116,12 +122,15 @@ impl Grid {
         };
         let lat_idx = axis_selection(&self.lats, envelope.map(|e| (e.min_y, e.max_y)));
         let lon_idx = axis_selection(&self.lons, envelope.map(|e| (e.min_x, e.max_x)));
-        let projected =
-            |c: &str| pushdown.columns.is_empty() || pushdown.columns.iter().any(|k| k == c);
+        let projected = |c: &str| {
+            pushdown
+                .columns
+                .is_none_or(|columns| columns.iter().any(|k| k == c))
+        };
         let wanted = |c: &str| projected(c) || on_row.iter().any(|p| p.column == c);
         let (want_id, want_value, want_ts, want_loc) =
             (wanted("id"), wanted(variable), wanted("ts"), wanted("loc"));
-        let trim = !on_row.is_empty() && !pushdown.columns.is_empty();
+        let trim = !on_row.is_empty() && pushdown.columns.is_some();
 
         let (nla, nlo) = (self.lats.len(), self.lons.len());
         let values = self.values.data();
@@ -139,8 +148,7 @@ impl Grid {
                     let (lat, lon) = (self.lats[la], self.lons[lo]);
                     let mut row = Row::new();
                     if want_id {
-                        let id = format!("obs_{lon}_{lat}_{epoch}").replace(['.', '-'], "m");
-                        row.insert("id".into(), Value::Text(id));
+                        row.insert("id".into(), Value::Text(cell_id(lon, lat, *epoch)));
                     }
                     if want_value {
                         row.insert(variable.to_string(), Value::Number(value));
@@ -166,6 +174,25 @@ impl Grid {
     }
 }
 
+/// A cell's `id`: `obs_{lon}_{lat}_{epoch}` with every `.` and `-`
+/// written as `m`, built in one allocation.
+fn cell_id(lon: f64, lat: f64, epoch: i64) -> String {
+    use std::fmt::Write;
+    struct Mangled(String);
+    impl Write for Mangled {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0.extend(
+                s.chars()
+                    .map(|c| if c == '.' || c == '-' { 'm' } else { c }),
+            );
+            Ok(())
+        }
+    }
+    let mut id = Mangled(String::with_capacity(48));
+    let _ = write!(id, "obs_{lon}_{lat}_{epoch}");
+    id.0
+}
+
 /// The indexes of `axis` whose coordinate lies in the closed `bounds`, in
 /// index order; every index without bounds. `index_range` narrows the scan
 /// to a range; the per-coordinate test inside it keeps a non-monotonic axis
@@ -180,6 +207,9 @@ fn axis_selection(axis: &[f64], bounds: Option<(f64, f64)>) -> Vec<usize> {
             .collect()
     })
 }
+
+/// The columns [`Grid::scan`] constructs from a cell's coordinates.
+const CONSTRUCTED: [&str; 3] = ["id", "ts", "loc"];
 
 /// The `opendap` virtual table over one dataset variable.
 pub struct OpendapTable {
@@ -242,7 +272,7 @@ impl OpendapTable {
                 main.dims
             )));
         }
-        if ["id", "ts", "loc"].contains(&self.variable.as_str()) {
+        if CONSTRUCTED.contains(&self.variable.as_str()) {
             return Err(FetchError::Grid(format!(
                 "variable {} collides with a constructed column",
                 self.variable
@@ -296,6 +326,12 @@ impl OpendapTable {
 impl VirtualTable for OpendapTable {
     fn scan(&self, pushdown: &Pushdown) -> Result<Vec<Row>, ObdaError> {
         Ok(self.grid()?.scan(&self.variable, pushdown))
+    }
+
+    /// The grid builds `id`, `ts` and `loc` for every cell it returns, and
+    /// a fill value is no row, so each row holds the variable too.
+    fn never_null(&self, column: &str) -> bool {
+        column == self.variable || CONSTRUCTED.contains(&column)
     }
 }
 
@@ -685,7 +721,8 @@ mod tests {
                     .filter(|_| rng.gen_bool(0.5))
                     .map(String::from)
                     .collect();
-                let pushdown = Pushdown { predicates: &predicates, columns: &columns, spatial };
+                let columns = rng.gen_bool(0.8).then_some(&columns[..]);
+                let pushdown = Pushdown { predicates: &predicates, columns, spatial };
                 prop_assert_eq!(vt.scan(&pushdown).unwrap(), filter(&rows, &pushdown), "{:?}", pushdown);
             }
         }

@@ -60,6 +60,7 @@ use crate::source::{GraphSource, IdAccess, IdColumns};
 use applab_geo::{Envelope, Geometry, RTree, SpatialRelation};
 use applab_rdf::{vocab, Graph, Literal, Resource, Term, Triple};
 use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -300,6 +301,8 @@ pub fn evaluate_with(
     let n_real = slots.names.len();
     let mut ev = Evaluator {
         source,
+        query,
+        usage: OnceCell::new(),
         stats,
         interner: Interner::new(source.id_access()),
         slots,
@@ -389,51 +392,62 @@ fn form_results(
             applab_obs::querystats::batches(batch.len().div_ceil(batch_size).max(1) as u64);
             applab_obs::querystats::peak_batch_bytes(batch.approx_bytes());
 
+            // Per-projection decode plan, computed once. Unary `geof:`
+            // calls on a plain variable get a vectorized path: the result
+            // term is computed once per distinct geometry id (via the
+            // per-id geometry cache) instead of decoding and re-parsing the
+            // WKT for every row.
+            enum Plan<'p> {
+                Slot(Option<usize>),
+                GeofUnary(GeofUnaryOp, Option<usize>),
+                Expr(&'p Expression, Vec<(String, usize)>),
+            }
+            // Whether DISTINCT still has to key the rows by their terms.
+            let mut distinct_terms = *distinct;
             if grouped {
                 (variables, rows) = ev.aggregate_batch(&batch, projection, group_by)?;
-            } else if projection.is_empty() {
-                // SELECT *: every variable in the pattern, in pattern order.
-                variables = query.pattern.variables();
-                let var_slots: Vec<Option<usize>> =
-                    variables.iter().map(|v| ev.slots.get(v)).collect();
-                rows = (0..batch.len())
-                    .map(|i| Row {
-                        values: var_slots
-                            .iter()
-                            .map(|s| {
-                                s.and_then(|s| batch.get(i, s))
-                                    .map(|id| ev.interner.decode(id).clone())
-                            })
-                            .collect(),
-                    })
-                    .collect();
             } else {
-                variables = projection.iter().map(|p| p.name().to_string()).collect();
-                // Per-projection decode plan, computed once. Unary `geof:`
-                // calls on a plain variable get a vectorized path: the
-                // result term is computed once per distinct geometry id
-                // (via the per-id geometry cache) instead of decoding and
-                // re-parsing the WKT for every row.
-                enum Plan<'p> {
-                    Slot(Option<usize>),
-                    GeofUnary(GeofUnaryOp, Option<usize>),
-                    Expr(&'p Expression, Vec<(String, usize)>),
-                }
-                let plans: Vec<Plan> = projection
-                    .iter()
-                    .map(|p| match p {
-                        Projection::Var(v) => Plan::Slot(ev.slots.get(v)),
-                        Projection::Expr(e, _) => match classify_geof_unary(e, &ev.slots) {
-                            Some((op, slot)) => Plan::GeofUnary(op, slot),
-                            None => Plan::Expr(e, ev.expr_slots(e)),
-                        },
-                        Projection::Aggregate(..) => unreachable!(),
-                    })
-                    .collect();
+                let plans: Vec<Plan> = if projection.is_empty() {
+                    // SELECT *: every variable in the pattern, in pattern
+                    // order.
+                    variables = query.pattern.variables();
+                    variables
+                        .iter()
+                        .map(|v| Plan::Slot(ev.slots.get(v)))
+                        .collect()
+                } else {
+                    variables = projection.iter().map(|p| p.name().to_string()).collect();
+                    projection
+                        .iter()
+                        .map(|p| match p {
+                            Projection::Var(v) => Plan::Slot(ev.slots.get(v)),
+                            Projection::Expr(e, _) => match classify_geof_unary(e, &ev.slots) {
+                                Some((op, slot)) => Plan::GeofUnary(op, slot),
+                                None => Plan::Expr(e, ev.expr_slots(e)),
+                            },
+                            Projection::Aggregate(..) => unreachable!(),
+                        })
+                        .collect()
+                };
+                // DISTINCT over plain variables keys rows by their id
+                // tuples before anything is decoded: id equality is term
+                // equality (see `Interner`).
+                let by_ids = *distinct && plans.iter().all(|p| matches!(p, Plan::Slot(_)));
+                distinct_terms &= !by_ids;
+                let mut seen_ids: HashSet<Vec<Option<u64>>> = HashSet::new();
                 let mut memos: Vec<IdHashMap<u64, Option<Term>>> =
                     plans.iter().map(|_| IdHashMap::default()).collect();
                 rows = Vec::with_capacity(batch.len());
                 for i in 0..batch.len() {
+                    if by_ids {
+                        let key = plans.iter().map(|p| match p {
+                            Plan::Slot(s) => s.and_then(|s| batch.get(i, s)),
+                            _ => unreachable!("only slots are keyed by id"),
+                        });
+                        if !seen_ids.insert(key.collect()) {
+                            continue;
+                        }
+                    }
                     let mut values = Vec::with_capacity(plans.len());
                     for (plan, memo) in plans.iter().zip(&mut memos) {
                         let v = match plan {
@@ -474,7 +488,7 @@ fn form_results(
                 sort_rows(&mut rows, &variables, &query.order_by);
             }
 
-            if *distinct {
+            if distinct_terms {
                 let mut seen = HashSet::new();
                 rows.retain(|r| {
                     let key: Vec<Option<String>> = r
@@ -605,6 +619,94 @@ impl Slots {
 
     fn get(&self, name: &str) -> Option<usize> {
         self.index.get(name).copied()
+    }
+}
+
+/// Where a query reads its variables: what
+/// [`GraphSource::evaluate_bgp`]'s `observed` is answered from. Built on
+/// the first question, so a query no source asks never pays for it.
+struct Usage<'q> {
+    /// `SELECT *`: every variable is observed.
+    all: bool,
+    /// Variables read outside triple patterns: the projection, a
+    /// CONSTRUCT template, FILTER, BIND, VALUES, GROUP BY, ORDER BY and
+    /// aggregates.
+    read: HashSet<&'q str>,
+    /// Triple-pattern positions each variable takes in the whole query.
+    positions: HashMap<&'q str, usize>,
+}
+
+impl<'q> Usage<'q> {
+    fn new(query: &'q Query) -> Self {
+        let mut usage = Usage {
+            all: false,
+            read: HashSet::new(),
+            positions: HashMap::new(),
+        };
+        match &query.form {
+            QueryForm::Select {
+                projection,
+                group_by,
+                ..
+            } => {
+                usage.all = projection.is_empty();
+                for p in projection {
+                    usage.read.insert(p.name());
+                    match p {
+                        Projection::Var(_) | Projection::Aggregate(_, None, _) => {}
+                        Projection::Expr(e, _) | Projection::Aggregate(_, Some(e), _) => {
+                            usage.read.extend(e.variables());
+                        }
+                    }
+                }
+                usage.read.extend(group_by.iter().map(String::as_str));
+            }
+            QueryForm::Ask => {}
+            QueryForm::Construct { template } => {
+                usage
+                    .read
+                    .extend(template.iter().flat_map(TriplePattern::variables));
+            }
+        }
+        for key in &query.order_by {
+            usage.read.extend(key.expr.variables());
+        }
+        usage.walk(&query.pattern);
+        usage
+    }
+
+    fn walk(&mut self, pattern: &'q GraphPattern) {
+        match pattern {
+            GraphPattern::Bgp(patterns) => {
+                for v in patterns.iter().flat_map(TriplePattern::variables) {
+                    *self.positions.entry(v).or_insert(0) += 1;
+                }
+            }
+            GraphPattern::Filter(e, inner) => {
+                self.read.extend(e.variables());
+                self.walk(inner);
+            }
+            GraphPattern::Extend(inner, var, e) => {
+                self.read.insert(var);
+                self.read.extend(e.variables());
+                self.walk(inner);
+            }
+            GraphPattern::Values(vars, _) => self.read.extend(vars.iter().map(String::as_str)),
+            GraphPattern::Join(a, b) | GraphPattern::LeftJoin(a, b) | GraphPattern::Union(a, b) => {
+                self.walk(a);
+                self.walk(b);
+            }
+        }
+    }
+
+    /// Whether `v` is read anywhere but in `component`'s own positions.
+    fn observes(&self, v: &str, component: &[TriplePattern]) -> bool {
+        let own = component
+            .iter()
+            .flat_map(TriplePattern::variables)
+            .filter(|&x| x == v)
+            .count();
+        self.all || self.read.contains(v) || self.positions.get(v).copied().unwrap_or(0) > own
     }
 }
 
@@ -742,6 +844,9 @@ impl<'a> GeomEntry<'a> {
 
 struct Evaluator<'a> {
     source: &'a dyn GraphSource,
+    query: &'a Query,
+    /// Built on the first `observed` question a source asks.
+    usage: OnceCell<Usage<'a>>,
     /// The source's seal-time statistics, or empty ones.
     stats: &'a plan::Stats,
     interner: Interner<'a>,
@@ -1211,7 +1316,13 @@ impl<'a> Evaluator<'a> {
             let sideways =
                 self.sideways_spatial(constraints, acc.as_ref().unwrap_or(&start), &component);
             let spatial = sideways.as_ref().unwrap_or(&constraints.spatial);
-            let part = match self.source.evaluate_bgp(&component, spatial) {
+            let observed = |v: &str| {
+                self.usage
+                    .get_or_init(|| Usage::new(self.query))
+                    .observes(v, &component)
+                    || self.slots.get(v).is_some_and(|s| start.col(s).any_valid())
+            };
+            let part = match self.source.evaluate_bgp(&component, spatial, &observed) {
                 Some(answers) => {
                     *source_rows.get_or_insert(0) += answers.len();
                     applab_obs::querystats::scan(answers.len() as u64);
@@ -2466,6 +2577,7 @@ fn var_const_envelope(a: &Expression, b: &Expression) -> Option<(String, Envelop
 mod tests {
     use super::*;
     use crate::algebra::TermPattern as TP;
+    use crate::parser::parse_query;
     use applab_rdf::NamedNode;
 
     fn test_graph() -> Graph {
@@ -3280,6 +3392,152 @@ mod tests {
             let mut sorted = rows.clone();
             sort_rows(&mut sorted, &variables, keys);
             assert_eq!(sorted, expected, "{keys:?}");
+        }
+    }
+
+    /// DISTINCT as it keyed rows before it keyed them by ids: by the
+    /// printed form of each projected term.
+    fn distinct_by_printed_terms(rows: &[Row]) -> Vec<Row> {
+        let mut seen = HashSet::new();
+        rows.iter()
+            .filter(|r| {
+                let key: Vec<Option<String>> = r
+                    .values
+                    .iter()
+                    .map(|v| v.as_ref().map(|t| t.to_string()))
+                    .collect();
+                seen.insert(key)
+            })
+            .cloned()
+            .collect()
+    }
+
+    #[test]
+    fn distinct_on_ids_keeps_the_rows_of_distinct_on_terms() {
+        let mut g = Graph::new();
+        let p = NamedNode::new("http://ex.org/p");
+        let q = NamedNode::new("http://ex.org/q");
+        let objects: Vec<Term> = vec![
+            Literal::typed("1", NamedNode::new(vocab::xsd::INTEGER)).into(),
+            Literal::typed("1", NamedNode::new(vocab::xsd::DECIMAL)).into(),
+            Literal::lang("1", "en").into(),
+            Literal::string("1").into(),
+            Term::named("http://ex.org/1"),
+        ];
+        for s in 0..4 {
+            let subject = Resource::named(format!("http://ex.org/s{s}"));
+            for o in &objects {
+                g.add(subject.clone(), p.clone(), o.clone());
+            }
+            // Only even subjects bind ?x: odd rows leave the column unbound.
+            if s % 2 == 0 {
+                g.add(subject, q.clone(), Literal::string("x"));
+            }
+        }
+        let ids = IdGraph::from_graph(&g);
+        for order in ["", " ORDER BY ?o", " ORDER BY DESC(?x) ?o"] {
+            for shape in [
+                "?o ?x WHERE { ?s <http://ex.org/p> ?o OPTIONAL { ?s <http://ex.org/q> ?x } }",
+                "* WHERE { ?s <http://ex.org/p> ?o OPTIONAL { ?s <http://ex.org/q> ?x } }",
+            ] {
+                let all = parse_query(&format!("SELECT {shape}{order}")).unwrap();
+                let distinct = parse_query(&format!("SELECT DISTINCT {shape}{order}")).unwrap();
+                for source in [&g as &dyn GraphSource, &ids] {
+                    let QueryResults::Solutions { rows, .. } = evaluate(source, &all).unwrap()
+                    else {
+                        panic!("solutions expected");
+                    };
+                    let QueryResults::Solutions { rows: got, .. } =
+                        evaluate(source, &distinct).unwrap()
+                    else {
+                        panic!("solutions expected");
+                    };
+                    assert_eq!(got, distinct_by_printed_terms(&rows), "{shape}{order}");
+                }
+            }
+        }
+        // Five objects, each with and without ?x.
+        let distinct = parse_query(
+            "SELECT DISTINCT ?o ?x WHERE { ?s <http://ex.org/p> ?o OPTIONAL { ?s <http://ex.org/q> ?x } }",
+        )
+        .unwrap();
+        assert_eq!(evaluate(&g, &distinct).unwrap().len(), 10);
+    }
+
+    /// A source that declines every BGP and records, per offered
+    /// component, the variables `observed` says something reads.
+    struct Observing {
+        graph: Graph,
+        seen: std::sync::Mutex<Vec<Vec<String>>>,
+    }
+
+    impl GraphSource for Observing {
+        fn triples_matching(
+            &self,
+            s: Option<&Resource>,
+            p: Option<&applab_rdf::NamedNode>,
+            o: Option<&Term>,
+        ) -> Vec<Triple> {
+            self.graph.triples_matching(s, p, o)
+        }
+
+        fn evaluate_bgp(
+            &self,
+            patterns: &[TriplePattern],
+            _spatial: &HashMap<String, Envelope>,
+            observed: &dyn Fn(&str) -> bool,
+        ) -> Option<Vec<Binding>> {
+            let mut vars: Vec<String> = Vec::new();
+            for v in patterns.iter().flat_map(TriplePattern::variables) {
+                if observed(v) && !vars.iter().any(|x| x == v) {
+                    vars.push(v.to_string());
+                }
+            }
+            self.seen.lock().unwrap().push(vars);
+            None
+        }
+    }
+
+    #[test]
+    fn observed_names_what_the_rest_of_the_query_reads() {
+        let source = Observing {
+            graph: test_graph(),
+            seen: std::sync::Mutex::new(Vec::new()),
+        };
+        let bgp = "?s <http://ex.org/p> ?g . ?g <http://ex.org/q> ?w";
+        let cases: [(String, &[&[&str]]); 9] = [
+            (format!("SELECT ?s WHERE {{ {bgp} }}"), &[&["s"]]),
+            (format!("SELECT * WHERE {{ {bgp} }}"), &[&["s", "g", "w"]]),
+            (format!("ASK {{ {bgp} }}"), &[&[]]),
+            (format!("SELECT (COUNT(*) AS ?n) WHERE {{ {bgp} }}"), &[&[]]),
+            (
+                format!("SELECT ?w (COUNT(?s) AS ?n) WHERE {{ {bgp} }} GROUP BY ?w"),
+                &[&["s", "w"]],
+            ),
+            (
+                format!("SELECT ?s WHERE {{ {bgp} FILTER(BOUND(?w)) }} ORDER BY ?g"),
+                &[&["s", "g", "w"]],
+            ),
+            (
+                format!("SELECT ?s WHERE {{ {bgp} OPTIONAL {{ ?g <http://ex.org/r> ?x }} }}"),
+                // The OPTIONAL's own BGP is not reached: the left side
+                // is empty.
+                &[&["s", "g"]],
+            ),
+            (
+                format!("CONSTRUCT {{ ?s <http://ex.org/r> ?w }} WHERE {{ {bgp} }}"),
+                &[&["s", "w"]],
+            ),
+            (
+                format!("SELECT ?s WHERE {{ {{ {bgp} }} UNION {{ ?w <http://ex.org/r> ?y }} }}"),
+                &[&["s", "w"], &["w"]],
+            ),
+        ];
+        for (q, expected) in cases {
+            source.seen.lock().unwrap().clear();
+            evaluate(&source, &parse_query(&q).unwrap()).unwrap();
+            let seen = source.seen.lock().unwrap().clone();
+            assert_eq!(seen, expected, "{q}");
         }
     }
 }

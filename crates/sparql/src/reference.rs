@@ -368,7 +368,12 @@ impl Evaluator<'_> {
             return input;
         }
         // OBDA fast path: let the source answer the whole BGP at once.
-        if let Some(answers) = self.source.evaluate_bgp(patterns, &constraints.spatial) {
+        // Every variable counts as observed here, so comparing against
+        // this evaluator also checks the other one's pruned answers.
+        if let Some(answers) = self
+            .source
+            .evaluate_bgp(patterns, &constraints.spatial, &|_| true)
+        {
             let mut out = Vec::new();
             for left in &input {
                 'answer: for right in &answers {

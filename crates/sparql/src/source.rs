@@ -60,10 +60,23 @@ pub trait GraphSource {
     /// `spatial` carries per-variable envelope constraints extracted from
     /// the surrounding filters (same contract as
     /// [`GraphSource::triples_matching_spatial`]).
+    ///
+    /// `observed(v)` says whether anything outside these patterns reads
+    /// variable `v`: the projection (every variable under `SELECT *`), a
+    /// CONSTRUCT template, a FILTER, BIND, VALUES, GROUP BY, ORDER BY or
+    /// aggregate, or a triple pattern elsewhere in the query (another
+    /// component or BGP, an OPTIONAL or UNION branch, the threaded input).
+    /// A source may leave an unobserved variable out of its bindings, but
+    /// only when that cannot change which solutions exist: it still
+    /// answers one solution per match, so `COUNT(*)` and bag
+    /// multiplicities are those of the full bindings. Callers that want
+    /// every variable pass `&|_| true`; the evaluator computes the answer
+    /// on the first call, so a source that never asks pays nothing.
     fn evaluate_bgp(
         &self,
         _patterns: &[TriplePattern],
         _spatial: &HashMap<String, Envelope>,
+        _observed: &dyn Fn(&str) -> bool,
     ) -> Option<Vec<Binding>> {
         None
     }
