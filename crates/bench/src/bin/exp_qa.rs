@@ -1,8 +1,8 @@
 //! Experiment QA: generative differential testing across both workflows.
 //!
-//! Streams seeded, replayable GeoSPARQL cases through four engines — the
-//! reference evaluator, the hash-join pipeline (sequential and forced
-//! parallel), and the on-the-fly OBDA workflow — and diffs canonical
+//! Streams seeded, replayable GeoSPARQL cases through three engines — the
+//! reference evaluator, the hash-join pipeline, and the on-the-fly OBDA
+//! workflow — and diffs canonical
 //! result multisets. Periodically layers metamorphic checks (pattern
 //! reordering, FILTER splitting, LIMIT monotonicity, bbox shrinking) on
 //! top of the cross-engine oracle. Any failure is shrunk to a minimal
@@ -280,7 +280,7 @@ fn main() {
         })
         .collect();
     print_table(
-        "QA: four-engine differential fuzzing",
+        "QA: three-engine differential fuzzing",
         &[
             "seed",
             "cases",

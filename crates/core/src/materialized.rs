@@ -94,7 +94,7 @@ impl MaterializedWorkflow {
         self.query_with(sparql, &EvalOptions::default())
     }
 
-    /// Run a query with explicit evaluation options (parallelism, budget).
+    /// Run a query with explicit evaluation options (batch window, budget).
     pub fn query_with(
         &self,
         sparql: &str,

@@ -179,7 +179,7 @@ impl VirtualWorkflow {
         self.query_with(sparql, &EvalOptions::default())
     }
 
-    /// Run a query with explicit evaluation options (parallelism, budget).
+    /// Run a query with explicit evaluation options (batch window, budget).
     ///
     /// Graph scans have no error channel, so a remote source failure that a
     /// scan swallowed is picked up from the [source-fault
@@ -365,10 +365,9 @@ mod tests {
             Err(applab_dap::DapError::Transport("link down".into()))
         }));
         clock.advance(Duration::from_secs(601));
-        let scope = applab_obs::degrade::Scope::begin();
-        let stale = wf.query(q).unwrap();
-        assert_eq!(stale.len(), healthy.len());
-        assert!(scope.degraded(), "stale answers must be flagged");
+        let stale = wf.query_explained(q).unwrap();
+        assert_eq!(stale.results.len(), healthy.len());
+        assert!(stale.stats.degraded, "stale answers must be flagged");
 
         // Past window + grace nothing can bridge the outage: the query
         // fails typed — never a silent empty result.
@@ -384,10 +383,9 @@ mod tests {
         // Recovery: fresh answers, no degraded flag.
         wf.server().clear_fault_hook();
         clock.advance(Duration::from_secs(120)); // past the breaker cooldown
-        let scope = applab_obs::degrade::Scope::begin();
-        let fresh = wf.query(q).unwrap();
-        assert_eq!(fresh.len(), healthy.len());
-        assert!(!scope.degraded());
+        let fresh = wf.query_explained(q).unwrap();
+        assert_eq!(fresh.results.len(), healthy.len());
+        assert!(!fresh.stats.degraded);
     }
 
     #[test]

@@ -34,6 +34,7 @@ fn materialized_explain_reports_stages() {
         "sparql.evaluate",
         "bgp",
         "scan",
+        "join",
         "filter",
         "project",
     ] {

@@ -22,7 +22,7 @@ pub use coord::{Coord, Envelope};
 pub use geometry::{Geometry, LineString, Point, Polygon};
 pub use relate::SpatialRelation;
 pub use rtree::RTree;
-pub use wkt::{parse_wkt, write_wkt, WktError};
+pub use wkt::{parse_wkt, write_geometry, write_wkt, WktError};
 
 /// Convenience prelude for downstream crates.
 pub mod prelude {

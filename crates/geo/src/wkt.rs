@@ -305,7 +305,8 @@ pub fn write_wkt(g: &Geometry) -> String {
     out
 }
 
-fn write_geometry(out: &mut String, g: &Geometry) {
+/// Append the WKT of `g` to `out` (what [`write_wkt`] returns).
+pub fn write_geometry(out: &mut String, g: &Geometry) {
     match g {
         Geometry::Point(p) => {
             out.push_str("POINT (");

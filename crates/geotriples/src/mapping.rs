@@ -84,7 +84,7 @@ impl StringTemplate {
         for p in &self.parts {
             match p {
                 Part::Text(t) => out.push_str(t),
-                Part::Column(c) => out.push_str(&row.get(c)?.lexical()?),
+                Part::Column(c) => row.get(c)?.write_lexical(&mut out)?,
             }
         }
         Some(out)
@@ -577,6 +577,27 @@ source      parks
             .find(|t| t.predicate.as_str() == vocab::geo::AS_WKT)
             .unwrap();
         assert!(wkt.object.as_literal().unwrap().is_wkt());
+    }
+
+    #[test]
+    fn expansion_writes_each_lexical_form_in_place() {
+        let t = StringTemplate::parse("a_{v}_b").unwrap();
+        for (v, lexical) in [
+            (Value::Text("Bois de Boulogne".into()), "Bois de Boulogne"),
+            (Value::Number(2.5), "2.5"),
+            (Value::Number(-0.1), "-0.1"),
+            (Value::Number(1e21), "1000000000000000000000"),
+            (Value::Bool(false), "false"),
+            (
+                Value::Geometry(applab_geo::Geometry::point(2.25, 48.86)),
+                "POINT (2.25 48.86)",
+            ),
+        ] {
+            let r = Row::from([("v".to_string(), v)]);
+            assert_eq!(t.expand(&r), Some(format!("a_{lexical}_b")));
+        }
+        let null = Row::from([("v".to_string(), Value::Null)]);
+        assert_eq!(t.expand(&null), None);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! All readers produce the same row model so the mapping processor is
 //! format-agnostic, mirroring GeoTriples' input abstraction.
 
-use applab_geo::{parse_wkt, write_wkt, Coord, Geometry, LineString, Polygon};
+use applab_geo::{parse_wkt, write_geometry, write_wkt, Coord, Geometry, LineString, Polygon};
 use applab_obs::json::{self, Value as Json};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -22,13 +22,25 @@ pub enum Value {
 impl Value {
     /// The lexical form used when the value is substituted into a template.
     pub fn lexical(&self) -> Option<String> {
+        let mut out = String::new();
+        self.write_lexical(&mut out)?;
+        Some(out)
+    }
+
+    /// Append [`Value::lexical`] to `out` without building it first;
+    /// `None`, writing nothing, for a null.
+    pub(crate) fn write_lexical(&self, out: &mut String) -> Option<()> {
         match self {
-            Value::Null => None,
-            Value::Text(t) => Some(t.clone()),
-            Value::Number(n) => Some(n.to_string()),
-            Value::Bool(b) => Some(b.to_string()),
-            Value::Geometry(g) => Some(write_wkt(g)),
+            Value::Null => return None,
+            Value::Text(t) => out.push_str(t),
+            Value::Number(n) => {
+                use fmt::Write;
+                let _ = write!(out, "{n}");
+            }
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Geometry(g) => write_geometry(out, g),
         }
+        Some(())
     }
 }
 

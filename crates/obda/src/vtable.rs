@@ -239,7 +239,7 @@ impl OpendapTable {
     /// Enable serve-stale: an expired window entry stays usable for `grace`
     /// beyond its window when the refresh fails transiently. Served stale
     /// copies count in the cache's `applab_sdl_cache_stale_served_total`
-    /// and mark the thread's degrade scope.
+    /// and flag the live query as degraded.
     pub fn with_stale_grace(mut self, grace: Duration) -> Self {
         self.cache = self.cache.with_stale_grace(grace);
         self
@@ -488,13 +488,16 @@ mod tests {
         // Upstream goes down; the window expires inside the grace period.
         srv.set_fault_hook(Box::new(|_, _| Err(DapError::Transport("down".into()))));
         clock.advance(Duration::from_secs(601));
-        let scope = applab_obs::degrade::Scope::begin();
+        let scope = applab_obs::querystats::Scope::begin();
         let stale = vt.grid().expect("grace bridges the outage");
         assert!(
             Arc::ptr_eq(&stale, &fresh),
             "the stale copy is the cached one"
         );
-        assert!(scope.degraded(), "stale serve must mark the degrade scope");
+        assert!(
+            scope.snapshot().degraded,
+            "stale serve must flag the query as degraded"
+        );
         assert_eq!(vt.stale_serves(), 1);
 
         // Past window + grace the failure propagates, typed.
@@ -506,10 +509,10 @@ mod tests {
 
         // Upstream recovers: fresh rows, not flagged.
         srv.clear_fault_hook();
-        let scope = applab_obs::degrade::Scope::begin();
+        let scope = applab_obs::querystats::Scope::begin();
         let rows = vt.scan(&Pushdown::all()).unwrap();
         assert_eq!(rows.len(), fresh.values.len());
-        assert!(!scope.degraded());
+        assert!(!scope.snapshot().degraded);
     }
 
     #[test]

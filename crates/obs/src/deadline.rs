@@ -11,8 +11,7 @@
 //! Scopes nest: an inner scope can only *tighten* the deadline (the
 //! earlier instant wins), so a sub-operation can never out-live the query
 //! that spawned it. Dropping the guard restores the previous deadline,
-//! which keeps recursive evaluation (sub-queries, parallel probe workers
-//! that re-enter on their own thread) well-behaved.
+//! which keeps recursive evaluation (sub-queries) well-behaved.
 
 use std::cell::Cell;
 use std::time::{Duration, Instant};

@@ -22,8 +22,9 @@
 //! * **cross-crate scopes** ([`deadline`], [`degrade`]) — thread-local
 //!   side channels that let the resilience layer in `applab-dap` honour
 //!   the evaluator's query budget, and let stale cache serves deep in the
-//!   data plane surface as a `degraded` flag on the service outcome,
-//!   without dependency cycles or contaminated return types.
+//!   data plane surface as a `degraded` flag on the service outcome
+//!   (through the query's accounting cell), without dependency cycles or
+//!   contaminated return types.
 //! * **per-query accounting** ([`querystats`]) — a thread-local scope
 //!   the service opens around each query; evaluator, store, DAP client
 //!   and caches bump the innermost cell at batch boundaries, and the

@@ -4,81 +4,80 @@
 //! and batches, the store counts scans and index pushdowns, the DAP
 //! client counts round-trips and bytes, the SDL cache counts hits.
 //! Threading an accumulator through every signature would contaminate
-//! APIs the same way a degraded flag would ([`crate::degrade`]), so the
-//! same trick is used: the service opens a [`Scope`] around each query,
-//! which installs a shared [`StatsCell`] in a thread-local stack, and
-//! the instrumented layers bump whatever cell is innermost (a no-op
-//! costing one thread-local read when no query is being accounted).
+//! APIs (`QueryResults`' byte-identical `PartialEq` is the backbone of the
+//! equivalence tests), so the caller opens a [`Scope`] around each query,
+//! which installs a fresh accounting cell in a thread-local stack, and the
+//! instrumented layers bump whatever cell is innermost (a no-op costing
+//! one thread-local read when no query is being accounted). This is sound
+//! because a query's work, remote fetches included, runs on the thread
+//! that evaluates it.
 //!
-//! The parallel hash-join probe runs on scoped worker threads, which do
-//! not inherit the spawning thread's locals. Exactly like span
-//! parenting ([`crate::trace::child_of`]), the evaluator captures the
-//! live cell with [`current`] before spawning and re-installs it on
-//! each worker with [`attach`]; the cell's fields are atomics, so
-//! workers accumulate into it concurrently without merging steps.
+//! The same cell carries the `degraded` flag: a stale cache serve
+//! ([`crate::degrade::mark`]) sets it, so whoever holds the scope sees
+//! whether any part of the answer was served stale.
 //!
 //! All hooks fire at *batch* boundaries (a scan's whole column, a probe
-//! chunk, a filter window), never per row — the accounting overhead
+//! pass, a filter window), never per row — the accounting overhead
 //! budget is ≤5% end-to-end (see DESIGN.md §13).
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
-/// The live accumulator for one query: plain relaxed atomics so scoped
-/// probe workers can share it without locks.
+/// The live accumulator for one query. It never leaves the thread that
+/// opened its [`Scope`], so its fields are plain cells.
 #[derive(Debug, Default)]
-pub struct StatsCell {
-    rows_scanned: AtomicU64,
-    scans: AtomicU64,
-    batches: AtomicU64,
-    joins: AtomicU64,
-    join_build_rows: AtomicU64,
-    join_probe_rows: AtomicU64,
-    probe_chunks: AtomicU64,
-    filter_rows_in: AtomicU64,
-    filter_rows_out: AtomicU64,
-    dap_round_trips: AtomicU64,
-    dap_bytes: AtomicU64,
-    dap_retries: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    source_queries: AtomicU64,
-    pushdowns: AtomicU64,
-    pruned_rows: AtomicU64,
-    peak_batch_bytes: AtomicU64,
+struct StatsCell {
+    rows_scanned: Cell<u64>,
+    scans: Cell<u64>,
+    batches: Cell<u64>,
+    joins: Cell<u64>,
+    join_build_rows: Cell<u64>,
+    join_probe_rows: Cell<u64>,
+    probe_chunks: Cell<u64>,
+    filter_rows_in: Cell<u64>,
+    filter_rows_out: Cell<u64>,
+    dap_round_trips: Cell<u64>,
+    dap_bytes: Cell<u64>,
+    dap_retries: Cell<u64>,
+    cache_hits: Cell<u64>,
+    cache_misses: Cell<u64>,
+    source_queries: Cell<u64>,
+    pushdowns: Cell<u64>,
+    pruned_rows: Cell<u64>,
+    peak_batch_bytes: Cell<u64>,
+    degraded: Cell<bool>,
 }
 
 impl StatsCell {
     fn snapshot(&self) -> QueryStats {
         QueryStats {
-            rows_scanned: self.rows_scanned.load(Ordering::Relaxed),
-            scans: self.scans.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            joins: self.joins.load(Ordering::Relaxed),
-            join_build_rows: self.join_build_rows.load(Ordering::Relaxed),
-            join_probe_rows: self.join_probe_rows.load(Ordering::Relaxed),
-            probe_chunks: self.probe_chunks.load(Ordering::Relaxed),
-            filter_rows_in: self.filter_rows_in.load(Ordering::Relaxed),
-            filter_rows_out: self.filter_rows_out.load(Ordering::Relaxed),
-            dap_round_trips: self.dap_round_trips.load(Ordering::Relaxed),
-            dap_bytes: self.dap_bytes.load(Ordering::Relaxed),
-            dap_retries: self.dap_retries.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            source_queries: self.source_queries.load(Ordering::Relaxed),
-            pushdowns: self.pushdowns.load(Ordering::Relaxed),
-            pruned_rows: self.pruned_rows.load(Ordering::Relaxed),
-            peak_batch_bytes: self.peak_batch_bytes.load(Ordering::Relaxed),
+            rows_scanned: self.rows_scanned.get(),
+            scans: self.scans.get(),
+            batches: self.batches.get(),
+            joins: self.joins.get(),
+            join_build_rows: self.join_build_rows.get(),
+            join_probe_rows: self.join_probe_rows.get(),
+            probe_chunks: self.probe_chunks.get(),
+            filter_rows_in: self.filter_rows_in.get(),
+            filter_rows_out: self.filter_rows_out.get(),
+            dap_round_trips: self.dap_round_trips.get(),
+            dap_bytes: self.dap_bytes.get(),
+            dap_retries: self.dap_retries.get(),
+            cache_hits: self.cache_hits.get(),
+            cache_misses: self.cache_misses.get(),
+            source_queries: self.source_queries.get(),
+            pushdowns: self.pushdowns.get(),
+            pruned_rows: self.pruned_rows.get(),
+            peak_batch_bytes: self.peak_batch_bytes.get(),
             queue_wait_ns: 0,
-            degraded: false,
+            degraded: self.degraded.get(),
         }
     }
 }
 
 /// A finished snapshot of one query's resource accounting. Every field
-/// is a plain value; `queue_wait_ns` and `degraded` are filled in by the
-/// service (they are known outside the evaluation scope).
+/// is a plain value; `queue_wait_ns` is filled in by the service (it is
+/// known outside the evaluation scope).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryStats {
     /// Rows produced by data-source scans (store id columns, OBDA source
@@ -94,8 +93,9 @@ pub struct QueryStats {
     pub join_build_rows: u64,
     /// Total rows on the probe sides of all joins.
     pub join_probe_rows: u64,
-    /// Probe chunks processed (sequential: one per join; parallel: one
-    /// per worker chunk).
+    /// Probe passes run (one per join, or one per pair of
+    /// differently-bound row groups when a side binds its join
+    /// variables only in some rows).
     pub probe_chunks: u64,
     /// Rows entering FILTER evaluation.
     pub filter_rows_in: u64,
@@ -122,7 +122,8 @@ pub struct QueryStats {
     pub peak_batch_bytes: u64,
     /// Time spent waiting for an admission permit (service-filled).
     pub queue_wait_ns: u64,
-    /// Whether any part of the answer was served stale (service-filled).
+    /// Whether any part of the answer was served stale (set by
+    /// [`crate::degrade::mark`]; the service clears it on a failed query).
     pub degraded: bool,
 }
 
@@ -207,7 +208,7 @@ pub(crate) fn push_u64(out: &mut String, mut v: u64) {
 
 thread_local! {
     /// Innermost-last stack of live accounting cells on this thread.
-    static ACTIVE: RefCell<Vec<Arc<StatsCell>>> = const { RefCell::new(Vec::new()) };
+    static ACTIVE: RefCell<Vec<Rc<StatsCell>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Run `f` with the innermost live cell, if any. One thread-local read
@@ -221,24 +222,18 @@ fn with_cell(f: impl FnOnce(&StatsCell)) {
     });
 }
 
-/// The innermost live cell on this thread — capture before spawning
-/// probe workers, re-install on each with [`attach`].
-pub fn current() -> Option<Arc<StatsCell>> {
-    ACTIVE.with(|stack| stack.borrow().last().cloned())
-}
-
 /// An accounting scope: installs a fresh cell on this thread; dropped
 /// (or [`Scope::finish`]ed) it uninstalls and yields the snapshot.
 #[derive(Debug)]
 pub struct Scope {
-    cell: Arc<StatsCell>,
+    cell: Rc<StatsCell>,
 }
 
 impl Scope {
     /// Begin accounting on the current thread.
     pub fn begin() -> Self {
-        let cell = Arc::new(StatsCell::default());
-        ACTIVE.with(|stack| stack.borrow_mut().push(Arc::clone(&cell)));
+        let cell = Rc::new(StatsCell::default());
+        ACTIVE.with(|stack| stack.borrow_mut().push(Rc::clone(&cell)));
         Scope { cell }
     }
 
@@ -258,31 +253,7 @@ impl Drop for Scope {
         ACTIVE.with(|stack| {
             let mut stack = stack.borrow_mut();
             // Normally the top; be defensive about out-of-order drops.
-            if let Some(pos) = stack.iter().rposition(|c| Arc::ptr_eq(c, &self.cell)) {
-                stack.remove(pos);
-            }
-        });
-    }
-}
-
-/// Install an existing cell on this thread (probe workers); uninstalled
-/// when the guard drops.
-pub fn attach(cell: Arc<StatsCell>) -> AttachGuard {
-    ACTIVE.with(|stack| stack.borrow_mut().push(Arc::clone(&cell)));
-    AttachGuard { cell }
-}
-
-/// RAII guard for [`attach`].
-#[derive(Debug)]
-pub struct AttachGuard {
-    cell: Arc<StatsCell>,
-}
-
-impl Drop for AttachGuard {
-    fn drop(&mut self) {
-        ACTIVE.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            if let Some(pos) = stack.iter().rposition(|c| Arc::ptr_eq(c, &self.cell)) {
+            if let Some(pos) = stack.iter().rposition(|c| Rc::ptr_eq(c, &self.cell)) {
                 stack.remove(pos);
             }
         });
@@ -295,8 +266,8 @@ impl Drop for AttachGuard {
 #[inline]
 pub fn scan(rows: u64) {
     with_cell(|c| {
-        c.scans.fetch_add(1, Ordering::Relaxed);
-        c.rows_scanned.fetch_add(rows, Ordering::Relaxed);
+        c.scans.set(c.scans.get() + 1);
+        c.rows_scanned.set(c.rows_scanned.get() + rows);
     });
 }
 
@@ -304,7 +275,7 @@ pub fn scan(rows: u64) {
 #[inline]
 pub fn batches(n: u64) {
     with_cell(|c| {
-        c.batches.fetch_add(n, Ordering::Relaxed);
+        c.batches.set(c.batches.get() + n);
     });
 }
 
@@ -314,7 +285,7 @@ pub fn batches(n: u64) {
 pub fn peak_batch_bytes(approx_bytes: u64) {
     with_cell(|c| {
         c.peak_batch_bytes
-            .fetch_max(approx_bytes, Ordering::Relaxed);
+            .set(c.peak_batch_bytes.get().max(approx_bytes));
     });
 }
 
@@ -322,17 +293,17 @@ pub fn peak_batch_bytes(approx_bytes: u64) {
 #[inline]
 pub fn join(build_rows: u64, probe_rows: u64) {
     with_cell(|c| {
-        c.joins.fetch_add(1, Ordering::Relaxed);
-        c.join_build_rows.fetch_add(build_rows, Ordering::Relaxed);
-        c.join_probe_rows.fetch_add(probe_rows, Ordering::Relaxed);
+        c.joins.set(c.joins.get() + 1);
+        c.join_build_rows.set(c.join_build_rows.get() + build_rows);
+        c.join_probe_rows.set(c.join_probe_rows.get() + probe_rows);
     });
 }
 
-/// One probe chunk was processed (parallel probe: one per worker chunk).
+/// One hash-join probe pass ran.
 #[inline]
 pub fn probe_chunk() {
     with_cell(|c| {
-        c.probe_chunks.fetch_add(1, Ordering::Relaxed);
+        c.probe_chunks.set(c.probe_chunks.get() + 1);
     });
 }
 
@@ -340,8 +311,8 @@ pub fn probe_chunk() {
 #[inline]
 pub fn filter(rows_in: u64, rows_out: u64) {
     with_cell(|c| {
-        c.filter_rows_in.fetch_add(rows_in, Ordering::Relaxed);
-        c.filter_rows_out.fetch_add(rows_out, Ordering::Relaxed);
+        c.filter_rows_in.set(c.filter_rows_in.get() + rows_in);
+        c.filter_rows_out.set(c.filter_rows_out.get() + rows_out);
     });
 }
 
@@ -349,8 +320,8 @@ pub fn filter(rows_in: u64, rows_out: u64) {
 #[inline]
 pub fn dap_round_trip(bytes: u64) {
     with_cell(|c| {
-        c.dap_round_trips.fetch_add(1, Ordering::Relaxed);
-        c.dap_bytes.fetch_add(bytes, Ordering::Relaxed);
+        c.dap_round_trips.set(c.dap_round_trips.get() + 1);
+        c.dap_bytes.set(c.dap_bytes.get() + bytes);
     });
 }
 
@@ -358,7 +329,7 @@ pub fn dap_round_trip(bytes: u64) {
 #[inline]
 pub fn dap_retry() {
     with_cell(|c| {
-        c.dap_retries.fetch_add(1, Ordering::Relaxed);
+        c.dap_retries.set(c.dap_retries.get() + 1);
     });
 }
 
@@ -366,7 +337,7 @@ pub fn dap_retry() {
 #[inline]
 pub fn cache_hit() {
     with_cell(|c| {
-        c.cache_hits.fetch_add(1, Ordering::Relaxed);
+        c.cache_hits.set(c.cache_hits.get() + 1);
     });
 }
 
@@ -374,7 +345,7 @@ pub fn cache_hit() {
 #[inline]
 pub fn cache_miss() {
     with_cell(|c| {
-        c.cache_misses.fetch_add(1, Ordering::Relaxed);
+        c.cache_misses.set(c.cache_misses.get() + 1);
     });
 }
 
@@ -382,7 +353,7 @@ pub fn cache_miss() {
 #[inline]
 pub fn source_query() {
     with_cell(|c| {
-        c.source_queries.fetch_add(1, Ordering::Relaxed);
+        c.source_queries.set(c.source_queries.get() + 1);
     });
 }
 
@@ -390,7 +361,7 @@ pub fn source_query() {
 #[inline]
 pub fn pushdown() {
     with_cell(|c| {
-        c.pushdowns.fetch_add(1, Ordering::Relaxed);
+        c.pushdowns.set(c.pushdowns.get() + 1);
     });
 }
 
@@ -399,8 +370,14 @@ pub fn pushdown() {
 #[inline]
 pub fn pruned(rows: u64) {
     with_cell(|c| {
-        c.pruned_rows.fetch_add(rows, Ordering::Relaxed);
+        c.pruned_rows.set(c.pruned_rows.get() + rows);
     });
+}
+
+/// Part of the answer was served stale (see [`crate::degrade::mark`]).
+#[inline]
+pub(crate) fn degraded() {
+    with_cell(|c| c.degraded.set(true));
 }
 
 #[cfg(test)]
@@ -467,25 +444,6 @@ mod tests {
         }
         scan(1);
         assert_eq!(outer.finish().rows_scanned, 11);
-    }
-
-    #[test]
-    fn attach_merges_across_threads() {
-        let scope = Scope::begin();
-        let cell = current().expect("scope installed a cell");
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let cell = Arc::clone(&cell);
-                s.spawn(move || {
-                    let _guard = attach(cell);
-                    probe_chunk();
-                    scan(25);
-                });
-            }
-        });
-        let stats = scope.finish();
-        assert_eq!(stats.probe_chunks, 4);
-        assert_eq!(stats.rows_scanned, 100);
     }
 
     #[test]

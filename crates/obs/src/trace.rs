@@ -2,9 +2,8 @@
 //! `key=value` fields and parent/child nesting.
 //!
 //! A [`Span`] is opened with [`span`] (parent taken from a thread-local
-//! stack) or [`child_of`] (explicit parent — how the scoped probe threads
-//! of `applab-sparql::eval` keep their chunk spans nested under the join
-//! span that spawned them). Dropping the span records its duration and
+//! stack) or [`child_of`] (explicit parent, e.g. from a worker thread
+//! handed a [`SpanContext`], or `None` for a fresh trace). Dropping the span records its duration and
 //! sends the finished [`SpanRecord`] to every registered [`Subscriber`],
 //! plus the default ring-buffer collector behind [`recent`]. With no
 //! subscriber registered, spans are disabled no-ops (one atomic load), so

@@ -63,7 +63,7 @@ pub struct DatasetSpec {
 
 impl DatasetSpec {
     /// The default harness dataset: every vocabulary present, small enough
-    /// that a four-engine differential case runs in milliseconds.
+    /// that a three-engine differential case runs in milliseconds.
     pub fn small(seed: u64) -> DatasetSpec {
         DatasetSpec {
             seed,
@@ -210,10 +210,7 @@ mod tests {
         let q = "SELECT ?s WHERE { ?s a clc:CorineArea }";
         let parsed = applab_sparql::parse_query(q).unwrap();
         let from_store = applab_sparql::evaluate(&engines.store, &parsed).unwrap();
-        let from_vw = engines
-            .vw
-            .query_with(q, &applab_sparql::EvalOptions::sequential())
-            .unwrap();
+        let from_vw = engines.vw.query(q).unwrap();
         assert_eq!(from_store.len(), from_vw.len());
     }
 

@@ -1,12 +1,10 @@
-//! The differential harness: one query, four engines, one verdict.
+//! The differential harness: one query, three engines, one verdict.
 //!
 //! Engines under test:
 //!
 //! 1. `reference` — the nested-loop oracle evaluator,
-//! 2. `pipeline-seq` — the dictionary/hash-join pipeline, forced
-//!    sequential,
-//! 3. `pipeline-par` — the same pipeline, forced onto parallel probes,
-//! 4. `virtual` — the on-the-fly OBDA workflow over tables + OPeNDAP.
+//! 2. `pipeline` — the dictionary/hash-join pipeline over the store,
+//! 3. `virtual` — the on-the-fly OBDA workflow over tables + OPeNDAP.
 //!
 //! All solution results are pushed through the JSON wire format
 //! (`to_json` → `from_json`) before canonicalization, so every
@@ -43,12 +41,12 @@ impl Verdict {
 }
 
 /// Engine labels, aligned with [`Harness::run_text`] internals.
-pub const ENGINES: [&str; 4] = ["reference", "pipeline-seq", "pipeline-par", "virtual"];
+pub const ENGINES: [&str; 3] = ["reference", "pipeline", "virtual"];
 
-/// The batch windows forced on the pipeline engines (`pipeline-seq`,
-/// `pipeline-par` in that order): deliberately tiny and coprime, so on
-/// the small generated datasets batch edges land inside every operator
-/// and at different rows for the two engines. `QueryIr::features`
+/// The batch windows forced on the evaluating engines (`pipeline`,
+/// `virtual` in that order): deliberately tiny and coprime, so on the
+/// small generated datasets batch edges land inside every operator and
+/// at different rows for the two engines. `QueryIr::features`
 /// reports batch-boundary coverage against these same windows.
 pub const HARNESS_BATCH_WINDOWS: [usize; 2] = [7, 3];
 
@@ -80,7 +78,7 @@ impl Harness {
 
     /// Evaluate on one engine by index (order of [`ENGINES`]).
     ///
-    /// Both pipeline engines run with deliberately tiny (and different)
+    /// Both evaluating engines run with deliberately tiny (and different)
     /// batch windows, so on the small generated datasets every FILTER,
     /// LIMIT/OFFSET slice and GROUP BY constantly straddles batch
     /// boundaries — the window size must never be observable.
@@ -92,23 +90,20 @@ impl Harness {
                 query,
                 &EvalOptions {
                     batch_size: HARNESS_BATCH_WINDOWS[0],
-                    ..EvalOptions::sequential()
+                    ..EvalOptions::default()
                 },
             )
             .map_err(|e| e.to_string()),
-            2 => applab_sparql::evaluate_with(
-                &self.engines.store,
-                query,
-                &EvalOptions {
-                    batch_size: HARNESS_BATCH_WINDOWS[1],
-                    ..EvalOptions::forced_parallel(3)
-                },
-            )
-            .map_err(|e| e.to_string()),
-            3 => self
+            2 => self
                 .engines
                 .vw
-                .query_with(text, &EvalOptions::sequential())
+                .query_with(
+                    text,
+                    &EvalOptions {
+                        batch_size: HARNESS_BATCH_WINDOWS[1],
+                        ..EvalOptions::default()
+                    },
+                )
                 .map_err(|e| e.to_string()),
             _ => unreachable!("engine index"),
         }
@@ -122,8 +117,8 @@ impl Harness {
         canon_via_json(&r)
     }
 
-    /// Run the pipeline-seq engine only.
-    pub fn eval_pipeline_seq(&self, text: &str) -> Result<Canon, String> {
+    /// Run the pipeline engine only.
+    pub fn eval_pipeline(&self, text: &str) -> Result<Canon, String> {
         self.eval_one(1, text)
     }
 
@@ -132,7 +127,7 @@ impl Harness {
         self.eval_one(0, text)
     }
 
-    /// Run one rendered query through all four engines and diff.
+    /// Run one rendered query through all three engines and diff.
     pub fn run_text(&self, text: &str) -> Verdict {
         let query = match applab_sparql::parse_query(text) {
             Ok(q) => q,
@@ -249,11 +244,7 @@ mod tests {
             let text = ir.render();
             let verdict = h.run_text(&text);
             assert!(!verdict.is_disagreement(), "{text}: {verdict:?}");
-            let Ok(explain) = h
-                .engines
-                .vw
-                .query_explained_with(&text, &EvalOptions::sequential())
-            else {
+            let Ok(explain) = h.engines.vw.query_explained(&text) else {
                 continue;
             };
             let mut bgps = Vec::new();

@@ -11,7 +11,7 @@
 //!   workflows from one materialization, so data is identical by
 //!   construction;
 //! * [`harness`] — the differential oracle: reference evaluator,
-//!   hash-join pipeline (sequential and parallel), and virtual workflow,
+//!   hash-join pipeline, and virtual workflow,
 //!   diffed as canonical multisets ([`canon`]) through the JSON wire
 //!   format;
 //! * [`metamorphic`] — oracle-free invariants (pattern reordering,

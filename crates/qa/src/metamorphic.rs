@@ -86,8 +86,8 @@ fn check_reorder(h: &Harness, ir: &QueryIr) -> Result<Option<String>, String> {
     if variant == *ir {
         return Ok(None);
     }
-    let a = h.eval_pipeline_seq(&ir.render());
-    let b = h.eval_pipeline_seq(&variant.render());
+    let a = h.eval_pipeline(&ir.render());
+    let b = h.eval_pipeline(&variant.render());
     match (a, b) {
         (Ok(x), Ok(y)) if x == y => Ok(None),
         (Ok(_), Ok(_)) => Ok(Some(format!(
@@ -135,8 +135,8 @@ fn check_filter_split(h: &Harness, ir: &QueryIr) -> Result<Option<String>, Strin
         return Ok(None);
     }
     let variant = split_filters(ir);
-    let a = h.eval_pipeline_seq(&ir.render());
-    let b = h.eval_pipeline_seq(&variant.render());
+    let a = h.eval_pipeline(&ir.render());
+    let b = h.eval_pipeline(&variant.render());
     match (a, b) {
         (Ok(x), Ok(y)) if x == y => Ok(None),
         (Err(_), Err(_)) => Ok(None),
@@ -158,8 +158,8 @@ fn check_limit_monotonic(h: &Harness, ir: &QueryIr) -> Result<Option<String>, St
     unlimited.limit = None;
     unlimited.offset = 0;
     let (sliced, full) = match (
-        h.eval_pipeline_seq(&ir.render()),
-        h.eval_pipeline_seq(&unlimited.render()),
+        h.eval_pipeline(&ir.render()),
+        h.eval_pipeline(&unlimited.render()),
     ) {
         (Ok(a), Ok(b)) => (a, b),
         (Err(_), Err(_)) => return Ok(None),
@@ -242,8 +242,8 @@ fn check_bbox_shrink(h: &Harness, ir: &QueryIr) -> Result<Option<String>, String
         }
     }
     let (orig, shrunk) = match (
-        h.eval_pipeline_seq(&ir.render()),
-        h.eval_pipeline_seq(&variant.render()),
+        h.eval_pipeline(&ir.render()),
+        h.eval_pipeline(&variant.render()),
     ) {
         (Ok(a), Ok(b)) => (a, b),
         _ => return Ok(None),
@@ -326,8 +326,8 @@ pub fn check_adversarial_order(h: &Harness, ir: &QueryIr) -> Result<Option<Strin
         }
     }
     let oracle = h.eval_reference(&ir.render());
-    let a = h.eval_pipeline_seq(&ir.render());
-    let b = h.eval_pipeline_seq(&variant.render());
+    let a = h.eval_pipeline(&ir.render());
+    let b = h.eval_pipeline(&variant.render());
     match (oracle, a, b) {
         (Ok(o), Ok(x), Ok(y)) if o == x && x == y => Ok(None),
         (Err(_), Err(_), Err(_)) => Ok(None),

@@ -479,13 +479,16 @@ mod tests {
         cache.get_or_fetch("k", || Ok(vec![])).unwrap();
         clock.advance(Duration::from_secs(601));
         // Refresh fails transiently inside the grace window: stale serve.
-        let scope = applab_obs::degrade::Scope::begin();
+        let scope = applab_obs::querystats::Scope::begin();
         let (value, degraded) = cache
             .get_or_fetch_degraded("k", || Err(DapError::Transport("down".into())))
             .unwrap();
         assert!(degraded);
         assert!(value.is_empty());
-        assert!(scope.degraded(), "stale serve must mark the degrade scope");
+        assert!(
+            scope.snapshot().degraded,
+            "stale serve must flag the query as degraded"
+        );
         assert_eq!(cache.stale_serves(), 1);
         // Past window + grace: the error propagates.
         clock.advance(Duration::from_secs(3601));

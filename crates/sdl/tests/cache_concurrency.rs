@@ -117,7 +117,7 @@ fn stale_grace_survives_concurrent_eviction() {
         let workers: Vec<_> = (0..8)
             .map(|_| {
                 s.spawn(move || {
-                    let scope = applab_obs::degrade::Scope::begin();
+                    let scope = applab_obs::querystats::Scope::begin();
                     for _ in 0..500 {
                         let (vars, degraded) = cache
                             .get_or_fetch_degraded("k", || {
@@ -128,7 +128,7 @@ fn stale_grace_survives_concurrent_eviction() {
                         assert_eq!(tag_of(&vars), 7.0, "stale value stays intact");
                     }
                     // Degradation is visible on the serving thread.
-                    assert!(scope.degraded());
+                    assert!(scope.snapshot().degraded);
                 })
             })
             .collect();

@@ -11,7 +11,7 @@
 //!   once; a small bounded wait queue absorbs bursts and everything beyond
 //!   it is shed as a typed `Overloaded` outcome;
 //! * **per-query deadlines** — a cooperative [`Budget`] threaded through
-//!   `applab_sparql::eval`, polled at scan/probe-chunk/filter boundaries,
+//!   `applab_sparql::eval`, polled at scan/hash-probe/filter boundaries,
 //!   so runaway spatial joins abort mid-flight and *never* return
 //!   truncated results;
 //! * **structured outcomes** — every call returns a [`QueryOutcome`] with
@@ -419,12 +419,10 @@ impl ApplabService {
         options.budget = budget;
 
         let started = Instant::now();
-        // Degrade marks flow through a thread-local scope: stale serves
-        // during this evaluation (and only this one) flag the outcome.
-        // The accounting scope works the same way: the evaluator, store,
-        // DAP client and caches bump its cell from wherever this query's
-        // work happens (parallel probe workers included, via attach).
-        let degrade_scope = applab_obs::degrade::Scope::begin();
+        // The accounting scope is thread-local: the evaluator, store, DAP
+        // client and caches bump its cell as this query's work runs on
+        // this thread, and a stale serve during this evaluation (and only
+        // this one) sets its `degraded` flag.
         let accounting = applab_obs::querystats::Scope::begin();
         let result = ep.query_with(sparql, &options);
         let elapsed = started.elapsed();
@@ -449,7 +447,7 @@ impl ApplabService {
             },
             (result, _) => result,
         };
-        let degraded = result.is_ok() && degrade_scope.degraded();
+        let degraded = result.is_ok() && stats.degraded;
         stats.queue_wait_ns = queue_wait.as_nanos() as u64;
         stats.degraded = degraded;
         applab_obs::histogram!("applab_service_query_seconds", WAIT_SECONDS_BUCKETS)

@@ -42,9 +42,9 @@
 //!   are paired through an R-tree over their envelopes instead of a cross
 //!   product, and the FILTER verifies the candidates.
 //!
-//! Large hash joins probe in parallel with scoped threads; the chunked
-//! results are concatenated in order, so parallel and sequential evaluation
-//! produce identical row orders (see [`EvalOptions`]).
+//! Every operator runs on the thread that evaluates the query: a served
+//! request is one unit of work, and concurrency comes from serving many
+//! requests at once, not from splitting one.
 
 use crate::algebra::{
     connected_components, Aggregate, Expression, GraphPattern, OrderKey, Projection, Query,
@@ -142,7 +142,7 @@ impl std::error::Error for EvalError {}
 /// A cooperative evaluation budget: an optional wall-clock deadline and an
 /// optional external cancellation token.
 ///
-/// The evaluator polls the budget at scan, probe-chunk, and filter
+/// The evaluator polls the budget at scan, hash-probe, and filter
 /// boundaries (about every [`CHECK_INTERVAL`] rows on the hot loops). When
 /// it trips, the in-flight operators unwind and [`evaluate_with`] returns
 /// [`EvalError::Timeout`] / [`EvalError::Cancelled`] — partial results are
@@ -210,15 +210,6 @@ pub const CHECK_INTERVAL: usize = 1024;
 /// Tuning knobs for [`evaluate_with`].
 #[derive(Debug, Clone)]
 pub struct EvalOptions {
-    /// Probe-side row count at or above which a hash join probes in
-    /// parallel with scoped threads. Chunk results are concatenated in
-    /// order, so the output is identical to the sequential path.
-    pub parallel_probe_threshold: usize,
-    /// Number of probe threads to use once the threshold is reached.
-    /// `None` (the default) uses [`std::thread::available_parallelism`],
-    /// so single-core hosts stay sequential; setting `Some(n)` forces
-    /// `n` workers regardless of the host's core count.
-    pub parallel_workers: Option<usize>,
     /// How many rows the vectorized operators process per batch window
     /// (FILTER selection vectors, EXPLAIN batch counts). Any value ≥ 1
     /// produces identical results — the knob trades selection-vector
@@ -232,35 +223,8 @@ pub struct EvalOptions {
 impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
-            parallel_probe_threshold: 4096,
-            parallel_workers: None,
             batch_size: 1024,
             budget: Budget::unlimited(),
-        }
-    }
-}
-
-impl EvalOptions {
-    /// Options that pin evaluation to the sequential probe path regardless
-    /// of input size or host core count. Differential harnesses use this to
-    /// make "the sequential pipeline" a reproducible engine configuration.
-    pub fn sequential() -> Self {
-        EvalOptions {
-            parallel_probe_threshold: usize::MAX,
-            parallel_workers: None,
-            ..EvalOptions::default()
-        }
-    }
-
-    /// Options that force every hash join to probe in parallel with exactly
-    /// `workers` scoped threads, even on single-core hosts and tiny inputs.
-    /// The counterpart of [`EvalOptions::sequential`] for differential
-    /// testing: both paths must produce identical output.
-    pub fn forced_parallel(workers: usize) -> Self {
-        EvalOptions {
-            parallel_probe_threshold: 1,
-            parallel_workers: Some(workers.max(2)),
-            ..EvalOptions::default()
         }
     }
 }
@@ -1867,9 +1831,7 @@ impl<'a> Evaluator<'a> {
     /// `(probe row, build row)` pair list in probe order; the output batch
     /// is then materialized with a single column-at-a-time
     /// [`merge_gather`] (probe values win where bound, build values fill
-    /// the rest) instead of cloning a row per match. Large probe groups are
-    /// chunked across scoped threads; chunk pair lists are concatenated in
-    /// order so the result is independent of the thread count.
+    /// the rest) instead of cloning a row per match.
     fn join(&mut self, probe: Batch, build: Batch) -> Batch {
         self.join_est(probe, build, None)
     }
@@ -2019,68 +1981,6 @@ impl<'a> Evaluator<'a> {
                         }
                     }
                 };
-                if prows.len() >= self.options.parallel_probe_threshold {
-                    let workers = self
-                        .options
-                        .parallel_workers
-                        .unwrap_or_else(|| {
-                            std::thread::available_parallelism()
-                                .map(|n| n.get())
-                                .unwrap_or(1)
-                        })
-                        .min(prows.len());
-                    if workers > 1 {
-                        applab_obs::counter!("applab_sparql_parallel_probes_total").inc();
-                        let chunk = prows.len().div_ceil(workers);
-                        let pr = &probe_one;
-                        let parent = join_span.context();
-                        let budget = &self.options.budget;
-                        // Worker threads don't inherit this thread's
-                        // accounting scope; hand them the live cell the
-                        // same way `parent` hands them the span context.
-                        let stats_cell = applab_obs::querystats::current();
-                        let stats_cell = &stats_cell;
-                        let results: Vec<Vec<(u32, u32)>> = std::thread::scope(|scope| {
-                            let handles: Vec<_> = prows
-                                .chunks(chunk)
-                                .map(|c| {
-                                    scope.spawn(move || {
-                                        let _stats =
-                                            stats_cell.clone().map(applab_obs::querystats::attach);
-                                        applab_obs::querystats::probe_chunk();
-                                        let mut chunk_span =
-                                            applab_obs::child_of(Some(parent), "probe.chunk");
-                                        chunk_span.record("rows", c.len());
-                                        let mut local = Vec::new();
-                                        for (n, &pi) in c.iter().enumerate() {
-                                            // A tripped budget truncates the
-                                            // chunk; the post-scope poll below
-                                            // fails the whole query, so the
-                                            // truncation is never observable.
-                                            if n % CHECK_INTERVAL == 0 && budget.check().is_err() {
-                                                break;
-                                            }
-                                            pr(pi, &mut local);
-                                        }
-                                        chunk_span.record("out", local.len());
-                                        local
-                                    })
-                                })
-                                .collect();
-                            handles
-                                .into_iter()
-                                .map(|h| h.join().expect("probe worker panicked"))
-                                .collect()
-                        });
-                        if self.interrupted() {
-                            return Batch::new(width);
-                        }
-                        for mut r in results {
-                            pairs.append(&mut r);
-                        }
-                        continue;
-                    }
-                }
                 applab_obs::querystats::probe_chunk();
                 for (n, &pi) in prows.iter().enumerate() {
                     if n % CHECK_INTERVAL == 0 && self.interrupted() {
@@ -3089,56 +2989,36 @@ mod tests {
     }
 
     #[test]
-    fn parallel_probe_matches_sequential() {
-        let g = test_graph();
+    fn large_probe_matches_reference() {
+        // 5,000 subjects with two properties each: the join on ?s probes
+        // 5,000 rows in one pass on the evaluating thread.
+        let mut g = Graph::new();
+        for i in 0..5_000 {
+            let s = Resource::named(format!("http://ex.org/s{i}"));
+            g.add(
+                s.clone(),
+                NamedNode::new("http://ex.org/kind"),
+                Term::named(format!("http://ex.org/k{}", i % 7)),
+            );
+            g.add(
+                s,
+                NamedNode::new("http://ex.org/value"),
+                Literal::integer(i),
+            );
+        }
         let q = select_all(GraphPattern::Bgp(vec![
-            TriplePattern::new(
-                var("s"),
-                Term::named(vocab::rdf::TYPE),
-                Term::named(vocab::osm::POI),
-            ),
-            TriplePattern::new(var("s"), Term::named(vocab::osm::HAS_NAME), var("name")),
-            TriplePattern::new(var("s"), Term::named(vocab::geo::HAS_GEOMETRY), var("g")),
+            TriplePattern::new(var("s"), Term::named("http://ex.org/kind"), var("k")),
+            TriplePattern::new(var("s"), Term::named("http://ex.org/value"), var("v")),
         ]));
-        let parallel = evaluate_with(
-            &g,
-            &q,
-            &EvalOptions {
-                parallel_probe_threshold: 1,
-                // Force real threads even on single-core hosts, where
-                // available_parallelism() would keep this sequential.
-                parallel_workers: Some(4),
-                ..EvalOptions::default()
-            },
-        )
-        .unwrap();
-        let sequential = evaluate_with(
-            &g,
-            &q,
-            &EvalOptions {
-                parallel_probe_threshold: usize::MAX,
-                parallel_workers: None,
-                ..EvalOptions::default()
-            },
-        )
-        .unwrap();
-        // Identical including row order: chunked results concatenate in order.
-        assert_eq!(
-            format!("{:?}", sorted_rows(&parallel)),
-            format!("{:?}", sorted_rows(&sequential))
-        );
-        assert_eq!(parallel.len(), sequential.len());
-        let p_rows: Vec<_> = parallel
-            .rows()
-            .iter()
-            .map(|r| format!("{:?}", r.values))
-            .collect();
-        let s_rows: Vec<_> = sequential
-            .rows()
-            .iter()
-            .map(|r| format!("{:?}", r.values))
-            .collect();
-        assert_eq!(p_rows, s_rows);
+        let scope = applab_obs::querystats::Scope::begin();
+        let got = evaluate_with(&g, &q, &EvalOptions::default()).unwrap();
+        let stats = scope.finish();
+        assert!(stats.join_probe_rows >= 5_000, "{stats:?}");
+        assert!(stats.joins >= 1);
+        assert_eq!(stats.probe_chunks, stats.joins, "one probe pass per join");
+        let expected = crate::reference::evaluate(&g, &q).unwrap();
+        assert_eq!(got.len(), 5_000);
+        assert_eq!(sorted_rows(&got), sorted_rows(&expected));
     }
 
     #[test]

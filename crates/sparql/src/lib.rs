@@ -18,8 +18,7 @@
 //!
 //! The pipeline is instrumented with `applab-obs` spans
 //! (`parse`/`sparql.evaluate`/`bgp`/`scan`/`join`/`filter`/`project`/
-//! `aggregate`, plus `probe.chunk` on parallel-probe workers) and the
-//! `applab_sparql_*` metrics; wrap a call in [`applab_obs::profile`] to get
+//! `aggregate`) and the `applab_sparql_*` metrics; wrap a call in [`applab_obs::profile`] to get
 //! the per-stage timing tree.
 #![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
 

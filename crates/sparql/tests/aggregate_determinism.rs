@@ -5,9 +5,8 @@
 //! Two bugs are pinned here:
 //!
 //! 1. SUM/AVG summed f64s in delivery order. Floating-point addition is
-//!    not associative, so the sequential pipeline, the parallel pipeline,
-//!    and the reference evaluator could print different (all "correct")
-//!    sums for the same group. Fixed by sorting addends with `total_cmp`
+//!    not associative, so the pipeline and the reference evaluator could
+//!    print different (all "correct") sums for the same group. Fixed by sorting addends with `total_cmp`
 //!    before reducing.
 //! 2. MIN/MAX used numeric comparison only, under which distinct terms
 //!    like `5` (xsd:integer) and `"5.0"` (xsd:double) compare Equal — the
@@ -15,7 +14,7 @@
 //!    on the printed form.
 
 use applab_rdf::{Graph, Literal, NamedNode, Resource, Term, Triple};
-use applab_sparql::{evaluate_with, parse_query, reference, EvalOptions, QueryResults};
+use applab_sparql::{evaluate, parse_query, reference, QueryResults};
 
 /// A graph of `<http://ex.org/s{i}> <http://ex.org/p> {value}` triples,
 /// inserted in the order given.
@@ -48,19 +47,13 @@ fn row_strings(r: &QueryResults) -> Vec<String> {
     }
 }
 
-/// Evaluate `query` over `graph` on every engine configuration and demand
-/// one identical lexical answer.
+/// Evaluate `query` over `graph` on the pipeline and the reference
+/// evaluator and demand one identical lexical answer.
 fn unanimous(graph: &Graph, query: &str) -> Vec<String> {
     let q = parse_query(query).expect("query parses");
     let reference = row_strings(&reference::evaluate(graph, &q).expect("reference evaluates"));
-    let sequential = row_strings(
-        &evaluate_with(graph, &q, &EvalOptions::sequential()).expect("sequential evaluates"),
-    );
-    let parallel = row_strings(
-        &evaluate_with(graph, &q, &EvalOptions::forced_parallel(3)).expect("parallel evaluates"),
-    );
-    assert_eq!(reference, sequential, "reference vs sequential pipeline");
-    assert_eq!(reference, parallel, "reference vs parallel pipeline");
+    let pipeline = row_strings(&evaluate(graph, &q).expect("pipeline evaluates"));
+    assert_eq!(reference, pipeline, "reference vs pipeline");
     reference
 }
 

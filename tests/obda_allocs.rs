@@ -13,7 +13,6 @@
 
 use copernicus_app_lab::core::VirtualWorkflowBuilder;
 use copernicus_app_lab::data::{mappings, ParisFixture};
-use copernicus_app_lab::sparql::EvalOptions;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::Duration;
@@ -60,14 +59,15 @@ const LISTING_3: &str = "SELECT DISTINCT ?s ?wkt ?lai WHERE { ?s lai:hasLai ?lai
 
 const ZONAL_MEAN: &str = "SELECT ?t (AVG(?lai) AS ?mean) WHERE { ?u gadm:hasName \"District 1\" . ?u geo:hasGeometry ?ug . ?ug geo:asWKT ?uwkt . ?s lai:hasLai ?lai . ?s time:hasTime ?t . ?s geo:hasGeometry ?g . ?g geo:asWKT ?wkt . FILTER(geof:sfWithin(?wkt, ?uwkt)) } GROUP BY ?t";
 
-/// Allocations of one warm query per shape on this fixture, with
-/// sequential evaluation, as measured when every variable of a rewritten
-/// BGP was expanded (first number) and with only the observed ones
-/// (second). The bound is the second plus 10 % headroom.
+/// Allocations of one warm query per shape on this fixture, as measured
+/// when a template expansion built each placeholder's lexical form as a
+/// `String` of its own and copied it in (first number), and now that it
+/// writes the form straight into the expansion (second). The bound is the
+/// second plus 10 % headroom.
 const MEASURED: [(&str, &str, u64, u64); 3] = [
-    ("listing1", LISTING_1, 19_306, 6_345),
-    ("listing3", LISTING_3, 38_177, 19_945),
-    ("zonal_mean", ZONAL_MEAN, 401_337, 185_409),
+    ("listing1", LISTING_1, 6_345, 5_706),
+    ("listing3", LISTING_3, 19_945, 17_665),
+    ("zonal_mean", ZONAL_MEAN, 185_409, 165_003),
 ];
 
 #[test]
@@ -86,22 +86,21 @@ fn warm_virtual_shapes_allocate_within_their_bounds() {
     builder.add_table(fixture.world.gadm_table());
     builder.add_mappings(mappings::GADM_MAPPING).unwrap();
     let wf = builder.seal().unwrap();
-    let options = EvalOptions::sequential();
 
     let mut report = Vec::new();
     let mut over = Vec::new();
-    for (shape, text, expanded, observed) in MEASURED {
+    for (shape, text, copied, measured) in MEASURED {
         // Warm: the window cache, the base-table row cache and first-use
         // registrations are paid here, not in the counted run.
-        let first = wf.query_with(text, &options).expect("shape evaluates");
+        let first = wf.query(text).expect("shape evaluates");
         assert!(!first.is_empty(), "{shape}: no rows on the fixture");
         let before = ALLOCS.with(Cell::get);
-        let results = wf.query_with(text, &options);
+        let results = wf.query(text);
         let allocs = ALLOCS.with(Cell::get) - before;
         drop(results);
-        let bound = observed + observed / 10;
+        let bound = measured + measured / 10;
         report.push(format!(
-            "{shape}: {allocs} (bound {bound}; all variables expanded: {expanded})"
+            "{shape}: {allocs} (bound {bound}; lexical forms copied: {copied})"
         ));
         if allocs > bound {
             over.push(shape);

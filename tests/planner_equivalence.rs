@@ -1,11 +1,10 @@
 //! Planner-equivalence differential sweep (tier-1).
 //!
 //! The cost-based planner must be invisible in results: for every
-//! QA-generated query, planned evaluation (store pipeline, sequential and
-//! parallel, and the OBDA virtual workflow) must return the same
-//! canonical multiset as the nested-loop reference oracle. Three seeds ×
-//! 2000 cases stream through [`Harness::run_text`], which runs all four
-//! engines per case.
+//! QA-generated query, planned evaluation (store pipeline and the OBDA
+//! virtual workflow) must return the same canonical multiset as the
+//! nested-loop reference oracle. Three seeds × 2000 cases stream through
+//! [`Harness::run_text`], which runs all three engines per case.
 //!
 //! Any disagreement is shrunk to a minimal (query, dataset) pair and
 //! persisted under `qa/failing/` — same artifact discipline as the
@@ -26,7 +25,7 @@ use std::path::PathBuf;
 const SEEDS: [u64; 3] = [1, 2, 3];
 const CASES_PER_SEED: u64 = 2000;
 
-/// Shrink a disagreeing case against the four-engine verdict and write
+/// Shrink a disagreeing case against the three-engine verdict and write
 /// it out as a replayable corpus artifact; returns the path.
 fn persist_failure(run_seed: u64, index: u64, ir: &QueryIr, spec: &DatasetSpec) -> PathBuf {
     let mut cache: Option<(DatasetSpec, Harness)> = None;

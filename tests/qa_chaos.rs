@@ -21,7 +21,6 @@ use copernicus_app_lab::dap::transport::Local;
 use copernicus_app_lab::dap::ResilienceConfig;
 use copernicus_app_lab::obs::querylog::{hash_query, now_ms, truncate_query};
 use copernicus_app_lab::obs::{querystats, FlightRecorder, QueryLogRecord};
-use copernicus_app_lab::sparql::EvalOptions;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -41,7 +40,7 @@ fn query_recorded(
 ) -> Result<copernicus_app_lab::sparql::QueryResults, CoreError> {
     let scope = querystats::Scope::begin();
     let started = Instant::now();
-    let result = vw.query_with(text, &EvalOptions::sequential());
+    let result = vw.query(text);
     let elapsed_ns = started.elapsed().as_nanos() as u64;
     let code = match &result {
         Ok(_) => "ok",
@@ -111,7 +110,7 @@ fn generated_queries_hold_the_trichotomy_under_chaos() {
 
         // Queries the fault-free workflow cannot answer (e.g. a generated
         // type error) say nothing about fault handling.
-        let Ok(expected) = clean.vw.query_with(&text, &EvalOptions::sequential()) else {
+        let Ok(expected) = clean.vw.query(&text) else {
             skipped += 1;
             continue;
         };

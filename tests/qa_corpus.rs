@@ -1,6 +1,5 @@
 //! The pinned QA corpus: every `qa/corpus/*.ron` case replays through all
-//! engines (reference, hash-join pipeline sequential + parallel, virtual
-//! workflow) forever. Each case is a shrunk witness of a bug the
+//! engines (reference, hash-join pipeline, virtual workflow) forever. Each case is a shrunk witness of a bug the
 //! differential harness once found; a regression here means an old bug
 //! came back.
 //!
@@ -9,7 +8,7 @@
 //! move the artifact into `qa/corpus/` once the underlying bug is fixed.
 
 use applab_qa::{load_dir, CorpusCase, DatasetSpec, Harness, Verdict};
-use copernicus_app_lab::sparql::{evaluate_with, parse_query, EvalOptions};
+use copernicus_app_lab::sparql::{evaluate, parse_query};
 use std::path::Path;
 
 fn corpus_dir() -> std::path::PathBuf {
@@ -63,7 +62,7 @@ fn batch_boundary_pins_are_non_vacuous() {
     let straddle = find("limit_offset_straddles_batch_edge");
     let h = Harness::new(straddle.dataset.clone()).expect("dataset builds");
     let sliced = h
-        .eval_pipeline_seq(&straddle.query)
+        .eval_pipeline(&straddle.query)
         .expect("pinned query evaluates");
     assert_eq!(
         sliced.len(),
@@ -77,7 +76,7 @@ fn batch_boundary_pins_are_non_vacuous() {
         "the two pins share one dataset so the replay builds one harness"
     );
     let counted = h
-        .eval_pipeline_seq(&groups.query)
+        .eval_pipeline(&groups.query)
         .expect("pinned query evaluates");
     let applab_qa::Canon::Solutions { variables, rows } = &counted else {
         panic!("grouped COUNT must yield solutions, got {counted:?}");
@@ -96,7 +95,7 @@ fn batch_boundary_pins_are_non_vacuous() {
     );
     assert!(
         widest > 7.0,
-        "widest group has {widest} members — no group spans the sequential batch window of 7"
+        "widest group has {widest} members — no group spans the pipeline batch window of 7"
     );
 }
 
@@ -117,7 +116,7 @@ fn component_pins_are_non_vacuous() {
         let explain = h
             .engines
             .vw
-            .query_explained_with(&case.query, &EvalOptions::sequential())
+            .query_explained(&case.query)
             .unwrap_or_else(|e| panic!("{}: {e}", case.name));
         let mut rewrites = Vec::new();
         explain.profile.find_all("obda.bgp_rewrite", &mut rewrites);
@@ -158,7 +157,7 @@ fn component_pins_are_non_vacuous() {
         let explain = h
             .engines
             .vw
-            .query_explained_with(q, &EvalOptions::sequential())
+            .query_explained(q)
             .expect("Listing 1 evaluates");
         let mut executes = Vec::new();
         explain.profile.find_all("obda.execute", &mut executes);
@@ -197,13 +196,12 @@ fn spatial_join_pins_are_non_vacuous() {
     for case in pins {
         let h = Harness::new(case.dataset.clone()).expect("dataset builds");
         let query = parse_query(&case.query).expect("pinned query parses");
-        let (store_results, store_profile) = copernicus_app_lab::obs::profile("query", |_| {
-            evaluate_with(&h.engines.store, &query, &EvalOptions::sequential())
-        });
+        let (store_results, store_profile) =
+            copernicus_app_lab::obs::profile("query", |_| evaluate(&h.engines.store, &query));
         let vw = h
             .engines
             .vw
-            .query_explained_with(&case.query, &EvalOptions::sequential())
+            .query_explained(&case.query)
             .unwrap_or_else(|e| panic!("{}: {e}", case.name));
         let store_results = store_results.unwrap_or_else(|e| panic!("{}: {e}", case.name));
         for (engine, profile, results) in [
