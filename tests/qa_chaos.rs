@@ -92,7 +92,7 @@ fn generated_queries_hold_the_trichotomy_under_chaos() {
         ChaosConfig::uniform(FAULT_RATE),
         RUN_SEED,
     ));
-    let mut b = spec.virtual_builder(chaos, clock.clone());
+    let mut b = spec.virtual_builder(chaos.clone(), clock.clone());
     b.set_stale_grace(Duration::from_secs(100_000_000));
     b.enable_resilience(ResilienceConfig::no_sleep(), RUN_SEED);
     let vw = b.seal().expect("chaotic workflow seals");
@@ -142,6 +142,10 @@ fn generated_queries_hold_the_trichotomy_under_chaos() {
     }
 
     assert_eq!(identical + typed_errors + skipped, CASES as usize);
+    let injected = chaos.injected();
+    println!("{identical} identical, {typed_errors} typed, {skipped} skipped; {injected:?}");
+    // A run that injected nothing proved nothing about fault handling.
+    assert!(injected.total() > 0, "no fault was injected: {injected:?}");
     // At a 10% fault rate with retries, the overwhelming outcome must be a
     // complete answer; if everything errored the resilience layer is off.
     assert!(
