@@ -9,8 +9,8 @@
 //!
 //! Generation is deterministic: `generate(seed, spec)` always produces the
 //! same query, and [`case_seed`] derives per-case seeds from a run seed so
-//! any case from an `exp_qa` run can be replayed byte-identically from the
-//! printed number alone.
+//! any case from a run of this crate's `exp_qa` binary can be replayed
+//! byte-identically from the printed number alone.
 
 use crate::dataset::{DatasetSpec, Table};
 use applab_rdf::datetime::format_datetime;

@@ -20,8 +20,14 @@
 //! * [`mod@shrink`] — greedy reduction of a failing case to a minimal one;
 //! * [`corpus`] — the persisted `qa/corpus/*.ron` regression corpus.
 //!
-//! Entry points: `exp_qa` (in `applab-bench`) for budgeted fuzzing runs,
-//! and `tests/qa_corpus.rs` at the workspace root for the pinned corpus.
+//! Entry points: the `exp_qa` binary of this crate for budgeted fuzzing
+//! runs, and `tests/qa_corpus.rs` at the workspace root for the pinned
+//! corpus.
+//!
+//! The crate also holds what the root tests and examples share: the
+//! seeded [`workloads`] of the paper's claims (the mini-Geographica query
+//! mix and engines, the viewport trace, Poisson arrivals) and the
+//! [`httpload`] client that drives the wire plane over real sockets.
 
 #![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
 
@@ -30,8 +36,10 @@ pub mod corpus;
 pub mod dataset;
 pub mod gen;
 pub mod harness;
+pub mod httpload;
 pub mod metamorphic;
 pub mod shrink;
+pub mod workloads;
 
 pub use canon::{canonical_term, canonicalize, diff, is_multiset_subset, Canon};
 pub use corpus::{load_dir, CorpusCase};
@@ -39,3 +47,20 @@ pub use dataset::{check_load_paths, DatasetSpec, Engines, Table};
 pub use gen::{case_seed, generate, QueryIr};
 pub use harness::{Harness, Verdict, ENGINES, HARNESS_BATCH_WINDOWS};
 pub use shrink::{shrink, Shrunk};
+pub use workloads::{
+    geographica_queries, geographica_setup, poisson_arrivals, viewport_trace, GeographicaSetup,
+};
+
+/// A Markdown table: the header row, the `---` rule and one line per row,
+/// each ending in a newline.
+pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
+    let mut table = format!(
+        "| {} |\n|{}\n",
+        header.join(" | "),
+        "---|".repeat(header.len())
+    );
+    for row in rows {
+        table.push_str(&format!("| {} |\n", row.join(" | ")));
+    }
+    table
+}

@@ -12,6 +12,14 @@ use crate::algebra::{
 use applab_rdf::{vocab, Literal, NamedNode, Term};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::LazyLock;
+
+/// The `a` keyword's predicate and the numeric literals' datatypes, built
+/// once: each use clones one, which bumps a reference count instead of
+/// allocating the IRI again.
+static RDF_TYPE: LazyLock<Term> = LazyLock::new(|| Term::named(vocab::rdf::TYPE));
+static XSD_INTEGER: LazyLock<NamedNode> = LazyLock::new(|| NamedNode::new(vocab::xsd::INTEGER));
+static XSD_DOUBLE: LazyLock<NamedNode> = LazyLock::new(|| NamedNode::new(vocab::xsd::DOUBLE));
 
 /// Parse error with byte position.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -882,7 +890,7 @@ impl<'a> Parser<'a> {
         let subject = self.parse_term_pattern()?;
         loop {
             let predicate = match self.next()? {
-                Some(Tok::Word(w)) if w == "a" => TermPattern::Term(Term::named(vocab::rdf::TYPE)),
+                Some(Tok::Word(w)) if w == "a" => TermPattern::Term(RDF_TYPE.clone()),
                 Some(tok) => {
                     self.unread(tok);
                     self.parse_term_pattern()?
@@ -968,11 +976,11 @@ impl<'a> Parser<'a> {
             }
             Tok::Num(n) => {
                 let dt = if n.contains(['.', 'e', 'E']) {
-                    vocab::xsd::DOUBLE
+                    &XSD_DOUBLE
                 } else {
-                    vocab::xsd::INTEGER
+                    &XSD_INTEGER
                 };
-                Ok(Literal::typed(n, NamedNode::new(dt)).into())
+                Ok(Literal::typed(n, NamedNode::clone(dt)).into())
             }
             Tok::Word(w) if w.eq_ignore_ascii_case("true") => Ok(Literal::boolean(true).into()),
             Tok::Word(w) if w.eq_ignore_ascii_case("false") => Ok(Literal::boolean(false).into()),

@@ -7,8 +7,9 @@
 //! * **Oracle** — the property tests in `tests/pipeline_equivalence.rs`
 //!   check that the pipeline returns exactly the same solution multiset on
 //!   randomized queries;
-//! * **Baseline** — `exp_geographica --compare-reference` measures the
-//!   speedup the pipeline buys on the Geographica query mix.
+//! * **Baseline** — the cost ledger (`tests/ledger.rs`) counts what the
+//!   pipeline saves on the Geographica query mix: its allocations must
+//!   stay below this evaluator's on the NonTopological classes.
 //!
 //! Semantics are identical; only solution *order* may differ (OPTIONAL
 //! groups matched rows differently), which SPARQL leaves unspecified absent

@@ -18,7 +18,7 @@
 //! that the FILTER saw only its envelope candidates. Ends with the
 //! Prometheus rendering of the metrics the run accumulated.
 
-use applab_bench::geographica_queries;
+use applab_qa::geographica_queries;
 use copernicus_app_lab::core::{
     Explain, MaterializedWorkflow, QueryEndpoint, VirtualWorkflowBuilder,
 };

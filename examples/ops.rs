@@ -13,7 +13,7 @@
 //! accounting of one outcome, and the flight-recorder tape a crash
 //! artifact would contain.
 
-use applab_bench::geographica_queries;
+use applab_qa::geographica_queries;
 use copernicus_app_lab::core::{MaterializedWorkflow, VirtualWorkflowBuilder};
 use copernicus_app_lab::data::ParisFixture;
 use copernicus_app_lab::obs::{FlightRecorder, QueryLog, SamplingPolicy, VecSink};

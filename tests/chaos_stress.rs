@@ -14,7 +14,7 @@
 //! same seed yields the same outcome sequence. Set `CHAOS_SEED=<n>` to
 //! pin one seed (the CI matrix does), otherwise three defaults run.
 
-use applab_bench::geographica_queries;
+use applab_qa::geographica_queries;
 use copernicus_app_lab::core::{CoreError, VirtualWorkflow, VirtualWorkflowBuilder};
 use copernicus_app_lab::dap::chaos::{ChaosConfig, ChaosTally, ChaosTransport};
 use copernicus_app_lab::dap::clock::ManualClock;

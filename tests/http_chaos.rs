@@ -21,8 +21,8 @@
 //! does), otherwise three defaults run. A violation dumps the service
 //! flight recorder to `qa/failing/` for replay.
 
-use applab_bench::geographica_queries;
-use applab_bench::httpload::{percent_encode, HttpClient, HttpResponse};
+use applab_qa::geographica_queries;
+use applab_qa::httpload::{percent_encode, HttpClient, HttpResponse};
 use copernicus_app_lab::core::{CoreError, Explain, MaterializedWorkflow, QueryEndpoint};
 use copernicus_app_lab::data::ParisFixture;
 use copernicus_app_lab::http::{HttpConfig, HttpServer, SocketChaos};

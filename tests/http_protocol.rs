@@ -9,8 +9,8 @@
 //! unknown endpoint — must answer with its typed JSON error at the
 //! mapped status.
 
-use applab_bench::geographica_queries;
-use applab_bench::httpload::{percent_encode, HttpClient};
+use applab_qa::geographica_queries;
+use applab_qa::httpload::{percent_encode, HttpClient};
 use copernicus_app_lab::core::{MaterializedWorkflow, VirtualWorkflowBuilder};
 use copernicus_app_lab::data::ParisFixture;
 use copernicus_app_lab::http::{HttpConfig, HttpServer};

@@ -15,15 +15,20 @@
 //! new row gets its value plus 10 % on `allocs` and `alloc_bytes`, and
 //! exactly its value on a counter. Changing a bound is an edit of the file.
 //!
-//! Every row reads the same on every run. The table holds release values:
-//! debug builds read Figure 4's `allocs` 6 higher, as the parser's
-//! temporary `String` per `a` keyword is elided only in release.
+//! Every row reads the same on every run, in debug and in release.
+//!
+//! The NonTopological classes are also run through the nested-loop
+//! reference evaluator (`reference/geographica/*`, allocations only): the
+//! vectorized pipeline must allocate fewer blocks and fewer bytes than the
+//! reference on each of them.
 
-use applab_bench::{geographica_queries, geographica_setup};
+use applab_qa::{geographica_queries, geographica_setup};
 use copernicus_app_lab::core::{greenness, MaterializedWorkflow, VirtualWorkflowBuilder};
 use copernicus_app_lab::data::{mappings, ParisFixture};
 use copernicus_app_lab::obs::{json, querystats};
-use copernicus_app_lab::sparql::{evaluate_with, parse_query, EvalOptions, QueryResults};
+use copernicus_app_lab::sparql::{
+    evaluate_with, parse_query, reference, EvalOptions, QueryResults,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -183,7 +188,8 @@ const STORE_SHAPES: [(&str, &str); 5] = [
 ];
 
 /// The store shapes, then the mini-Geographica classes, each one
-/// `evaluate_with` of a parsed query on the sealed store.
+/// `evaluate_with` of a parsed query on the sealed store; then the
+/// NonTopological classes through the reference evaluator.
 fn store_shapes(rows: &mut Rows) {
     let setup = geographica_setup(2019, 100);
     let shapes = STORE_SHAPES.map(|(s, q)| (s.to_string(), q.to_string()));
@@ -194,6 +200,28 @@ fn store_shapes(rows: &mut Rows) {
         let query = parse_query(&text).expect("shape parses");
         let run = || evaluate_with(&setup.strabon, &query, &options);
         measure(rows, &shape, run, has_rows);
+    }
+    for (class, text) in geographica_queries() {
+        if !class.starts_with("NonTopological") {
+            continue;
+        }
+        let query = parse_query(&text).expect("shape parses");
+        let run = || reference::evaluate(&setup.strabon, &query).expect("reference answers");
+        drop(run());
+        let (out, heap) = counted(run);
+        drop(out);
+        let shape = format!("geographica/{class}");
+        for (metric, value) in [("allocs", heap.allocs), ("alloc_bytes", heap.bytes)] {
+            let value = value as f64;
+            let pipeline = rows.iter().find(|(s, m, _)| *s == shape && m == metric);
+            let pipeline = pipeline.expect("the pipeline row is measured first").2;
+            assert!(
+                pipeline < value,
+                "{class}: the pipeline's {metric} {pipeline} is not below the reference's {value}"
+            );
+            let shape = format!("reference/{shape}");
+            rows.push((shape, metric.into(), value));
+        }
     }
 }
 

@@ -14,9 +14,9 @@
 //! the parks × green-areas join, each in three written orders, must plan
 //! and scan identically on the mini-Geographica store.
 
-use applab_bench::geographica_setup;
 use applab_qa::corpus::CorpusCase;
 use applab_qa::gen::QueryIr;
+use applab_qa::geographica_setup;
 use applab_qa::{case_seed, generate, shrink, DatasetSpec, Harness, Verdict};
 use copernicus_app_lab::obs::querystats::Scope;
 use copernicus_app_lab::sparql::{evaluate_with, parse_query, plan, EvalOptions, GraphSource};

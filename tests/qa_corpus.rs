@@ -3,7 +3,7 @@
 //! differential harness once found; a regression here means an old bug
 //! came back.
 //!
-//! New cases are added by `exp_qa` (in `applab-bench`): any disagreement
+//! New cases are added by `exp_qa` (in `applab-qa`): any disagreement
 //! it finds is shrunk and written out as a replayable `.ron` artifact —
 //! move the artifact into `qa/corpus/` once the underlying bug is fixed.
 

@@ -4,7 +4,7 @@
 //! against `applab_service_outcomes_total`, deterministic sampling),
 //! and the flight recorder attached to a live service.
 
-use applab_bench::geographica_queries;
+use applab_qa::geographica_queries;
 use copernicus_app_lab::core::{MaterializedWorkflow, VirtualWorkflowBuilder};
 use copernicus_app_lab::dap::clock::ManualClock;
 use copernicus_app_lab::dap::transport::Local;

@@ -4,7 +4,7 @@
 //! evaluation budget must yield `CoreError::Timeout` — never truncated
 //! results.
 
-use applab_bench::geographica_queries;
+use applab_qa::geographica_queries;
 use copernicus_app_lab::core::{CoreError, MaterializedWorkflow, VirtualWorkflowBuilder};
 use copernicus_app_lab::data::ParisFixture;
 use copernicus_app_lab::obs::{QueryLog, QueryLogRecord, SamplingPolicy, VecSink};

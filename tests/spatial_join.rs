@@ -4,7 +4,7 @@
 //! instead of the components' cross product. Counts, not clocks: the
 //! expected numbers are brute-forced from the fixture.
 
-use applab_bench::geographica_queries;
+use applab_qa::geographica_queries;
 use copernicus_app_lab::core::{
     Explain, MaterializedWorkflow, QueryEndpoint, VirtualWorkflowBuilder,
 };
